@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Interpreter throughput: events/sec for the tree-walking engine, the
-compiled-closure fast path, and the source-codegen engine, across the
-bundled Figure 9 applications.
+"""Interpreter throughput: events/sec for the tree-walking reference engine
+and the source-codegen engine, across the bundled Figure 9 applications.
 
 Each application is driven with a deterministic synthetic traffic workload
 (``pkt_*`` events where the program declares them, otherwise every handled
-event round-robin), with tracing disabled so the batched drain mode is used.
-The same event sequence is replayed through every engine.
+event round-robin), with tracing disabled so the drain calls the engine's
+obs-free dispatch.  The same event sequence is replayed through both
+engines.
 
 Run standalone::
 
@@ -14,9 +14,9 @@ Run standalone::
     python benchmarks/bench_interp_throughput.py --smoke         # CI smoke
     python benchmarks/bench_interp_throughput.py --apps SFW,RR --events 8000
 
-The smoke mode asserts the fast path stays at least 2x faster than the tree
-walker AND the codegen engine at least 2x faster than the fast path, both on
-the stateful-firewall workload, so perf regressions surface in CI.
+The smoke mode asserts the codegen engine stays at least
+``MIN_CODEGEN_SPEEDUP`` times faster than the tree walker on the
+stateful-firewall workload, so perf regressions surface in CI.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from bench_common import write_report
 from repro.apps import ALL_APPLICATIONS
 from repro.frontend import check_program
 from repro.interp import EventInstance, Network
+
+#: smoke gate: codegen events/sec over reference events/sec on SFW
+MIN_CODEGEN_SPEEDUP = 8.0
 
 
 def _lcg(seed: int):
@@ -82,17 +85,14 @@ def run_sweep(app_keys, n_events: int, repeat: int = 3):
         checked = check_program(app.source, name=key)
         events = build_workload(checked, n_events)
         slow_eps, handled = measure(checked, "reference", events, repeat)
-        fast_eps, _ = measure(checked, "compiled", events, repeat)
         gen_eps, _ = measure(checked, "codegen", events, repeat)
         rows.append(
             {
                 "app": key,
                 "events": handled,
                 "tree_walk_eps": round(slow_eps),
-                "compiled_eps": round(fast_eps),
                 "codegen_eps": round(gen_eps),
-                "speedup": round(fast_eps / slow_eps, 2) if slow_eps else 0.0,
-                "codegen_speedup": round(gen_eps / fast_eps, 2) if fast_eps else 0.0,
+                "codegen_speedup": round(gen_eps / slow_eps, 2) if slow_eps else 0.0,
             }
         )
     return rows
@@ -116,8 +116,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="quick CI mode: SFW only, fewer events, asserts the fast path "
-        "stays at least 2x ahead",
+        help="quick CI mode: SFW only, fewer events, asserts codegen stays at "
+        f"least {MIN_CODEGEN_SPEEDUP:g}x ahead of the tree walker",
     )
     parser.add_argument(
         "--out", type=str, default="BENCH_interp_throughput.json",
@@ -142,33 +142,24 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     rows = run_sweep(keys, n_events, repeat)
     wall_s = time.perf_counter() - start
-    print("=== interpreter throughput: tree-walking vs compiled vs codegen ===")
+    print("=== interpreter throughput: tree-walking vs codegen ===")
     print_rows(rows)
     if args.out:
         write_report(
-            args.out, "interp-throughput", "reference,compiled,codegen", wall_s,
+            args.out, "interp-throughput", "reference,codegen", wall_s,
             rows, events_per_app=n_events, repeat=repeat,
         )
 
     if args.smoke:
         sfw = next(r for r in rows if r["app"] == "SFW")
-        if sfw["speedup"] < 2.0:
-            print(
-                f"PERF REGRESSION: compiled fast path is only {sfw['speedup']}x "
-                "the tree walker on SFW (expected >= 2x, typically >= 3x)"
-            )
-            return 1
-        if sfw["codegen_speedup"] < 2.0:
+        if sfw["codegen_speedup"] < MIN_CODEGEN_SPEEDUP:
             print(
                 "PERF REGRESSION: the codegen engine is only "
-                f"{sfw['codegen_speedup']}x the compiled closures on SFW "
-                "(expected >= 2x)"
+                f"{sfw['codegen_speedup']}x the tree walker on SFW "
+                f"(expected >= {MIN_CODEGEN_SPEEDUP:g}x)"
             )
             return 1
-        print(
-            f"smoke ok: SFW compiled {sfw['speedup']}x over reference, "
-            f"codegen {sfw['codegen_speedup']}x over compiled"
-        )
+        print(f"smoke ok: SFW codegen {sfw['codegen_speedup']}x over reference")
     return 0
 
 

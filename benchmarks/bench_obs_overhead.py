@@ -6,9 +6,10 @@ is designed to cost one predicted-false branch per site when disabled (the
 ``if OBS.enabled:`` fast path — see :mod:`repro.obs.metrics`).  This harness
 measures that claim:
 
-* **baseline** — the scheduler with the instrumentation *removed*: verbatim
-  pre-instrumentation copies of ``Network._dispatch`` and
-  ``Network._schedule_generated`` are monkeypatched in;
+* **baseline** — the scheduler with the instrumentation *removed*:
+  ``Network._switch_entry`` (which chooses the observed or obs-free
+  dispatch callable) and ``Network._schedule_generated`` are monkeypatched
+  with copies that carry no ``OBS.enabled`` check at all;
 * **disabled** — the shipped code with observability off (the default);
 * **enabled** — the shipped code with the metrics registry enabled.
 
@@ -28,6 +29,7 @@ import sys
 import time
 
 from bench_common import write_report
+from repro.interp.engine import SwitchEngine
 from repro.interp.events import LOCAL, EventInstance
 from repro.interp.network import Network
 from repro.obs import disable, enable
@@ -40,8 +42,9 @@ MAX_DISABLED_OVERHEAD = 0.05
 
 
 # ---------------------------------------------------------------------------
-# verbatim pre-instrumentation copies of the two hot-path methods (the state
-# of src/repro/interp/network.py before the observability layer landed)
+# uninstrumented copies of the two hot-path methods of
+# src/repro/interp/network.py: every OBS.enabled check (and the observer
+# choice it feeds) stripped
 # ---------------------------------------------------------------------------
 def _baseline_schedule_generated(self, source, event, trace_parent=None):
     source.stats.events_generated += 1
@@ -78,39 +81,42 @@ def _baseline_schedule_generated(self, source, event, trace_parent=None):
             location=LOCAL,
             group=None,
             source=source.id,
+            trace_parent=trace_parent,
         )
-        self._push(arrival, target, delivered)
+        source.origin_seq += 1
+        self._push(arrival, target, delivered, source._key_base | source.origin_seq)
 
 
-def _baseline_dispatch(self, switch, event):
-    switch.runtime.time_ns = self.now_ns
-    if event.source == switch.id:
-        switch.engine.on_recirc_arrival(event)
-    result = switch.engine.run(event)
-    stats = switch.stats
-    stats.events_handled += 1
-    stats.handled_by_event[event.name] = stats.handled_by_event.get(event.name, 0) + 1
-    if result.dropped:
-        stats.drops += 1
-    if result.prints:
-        switch.log.extend(result.prints)
-    for generated in result.generated:
-        self._schedule_generated(switch, generated)
-    return result
+def _baseline_switch_entry(self, switch):
+    engine = switch.engine
+    hook = (
+        engine.on_recirc_arrival
+        if type(engine).on_recirc_arrival is not SwitchEngine.on_recirc_arrival
+        else None
+    )
+    return (
+        switch,
+        switch.runtime,
+        getattr(engine, "run_fast", engine.run),
+        switch.stats,
+        switch.stats.handled_by_event,
+        switch.log,
+        hook,
+    )
 
 
 class _BaselinePatch:
     """Swap the uninstrumented scheduler methods in for the duration."""
 
     def __enter__(self):
-        self._dispatch = Network._dispatch
+        self._entry = Network._switch_entry
         self._schedule = Network._schedule_generated
-        Network._dispatch = _baseline_dispatch
+        Network._switch_entry = _baseline_switch_entry
         Network._schedule_generated = _baseline_schedule_generated
         return self
 
     def __exit__(self, *exc):
-        Network._dispatch = self._dispatch
+        Network._switch_entry = self._entry
         Network._schedule_generated = self._schedule
         return False
 
@@ -164,14 +170,14 @@ def main(argv=None) -> int:
     parser.add_argument("--scenario", type=str, default=DEFAULT_SCENARIO)
     parser.add_argument("--events", type=int, default=DEFAULT_EVENTS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--engines", type=str, default="compiled,reference,pisa",
+    parser.add_argument("--engines", type=str, default="codegen,reference,pisa",
                         help="comma-separated engine names")
     parser.add_argument("--rounds", type=int, default=5,
                         help="interleaved measurement rounds (best-of)")
     parser.add_argument("--out", type=str, default="BENCH_obs_overhead.json",
                         help="JSON report path (empty string disables)")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI mode: compiled engine only, fewer events, "
+                        help="CI mode: codegen engine only, fewer events, "
                         f"asserts disabled-mode overhead <= {MAX_DISABLED_OVERHEAD:.0%}")
     args = parser.parse_args(argv)
 
@@ -179,7 +185,7 @@ def main(argv=None) -> int:
         print(f"unknown scenario {args.scenario!r}; known: {sorted(SCENARIOS)}")
         return 2
     if args.smoke:
-        engines = ["compiled"]
+        engines = ["codegen"]
         events = min(args.events, SMOKE_EVENTS)
         rounds = max(3, args.rounds)
     else:

@@ -8,17 +8,16 @@ Run standalone::
     python benchmarks/bench_scenarios.py                     # full sweep
     python benchmarks/bench_scenarios.py --smoke             # CI smoke
     python benchmarks/bench_scenarios.py --scenarios nat-churn,dns-reflection
-    python benchmarks/bench_scenarios.py --engines compiled,pisa
-    python benchmarks/bench_scenarios.py --events 50000 --out BENCH_scenarios.json
+    python benchmarks/bench_scenarios.py --engines codegen,pisa
+    python benchmarks/bench_scenarios.py --events 50000 --engines-out BENCH_engines.json
 
 Each scenario is run under every selected engine (default: every registered
-engine — the tree-walking reference interpreter, the compiled fast path,
-the PISA pipeline executor, and the source-codegen engine) with identical
-traffic (same seed).  Two JSON reports are written:
-``BENCH_scenarios.json`` keeps the historical compiled-vs-reference schema,
-and ``BENCH_engines.json`` records events/sec per engine per scenario plus
-the PISA pipeline totals (stages occupied, recirculation passes, queue
-depths).  Any invariant violation or cross-engine verdict/digest mismatch
+engine — the tree-walking reference interpreter, the PISA pipeline
+executor, and the source-codegen engine) with identical traffic (same
+seed).  The JSON report ``BENCH_engines.json`` records events/sec per
+engine per scenario plus the PISA pipeline totals (stages occupied,
+recirculation passes, queue depths).  Any invariant violation or
+cross-engine verdict/digest mismatch
 fails the run.  ``--smoke`` runs two scenarios with small counts — cheap
 enough for CI.
 """
@@ -66,9 +65,8 @@ def bench_one(name: str, events: int, seed: int, engines, repeat: int = 1) -> di
         "events_handled": baseline.events_handled,
         "eps": {eng: round(best_eps[eng]) for eng in engines},
         # per-engine one-time cost: network build + handler compilation +
-        # preload.  Engines with digest-keyed module caches (codegen, and the
-        # closure compiler's shared memops) amortise this across switches —
-        # compare single vs fat-tree rows.
+        # preload.  Engines with digest-keyed module caches (codegen)
+        # amortise this across switches — compare single vs fat-tree rows.
         "setup_s": {eng: round(best_setup[eng], 4) for eng in engines},
         "ok": all(r.ok for r in results.values()),
         "engines_agree": agree,
@@ -123,8 +121,6 @@ def main(argv=None) -> int:
     parser.add_argument("--engines", type=str, default=",".join(ENGINE_NAMES),
                         help="comma-separated engine names "
                         f"(default: {','.join(ENGINE_NAMES)})")
-    parser.add_argument("--out", type=str, default="BENCH_scenarios.json",
-                        help="legacy JSON report path (default BENCH_scenarios.json)")
     parser.add_argument("--engines-out", type=str, default="BENCH_engines.json",
                         help="per-engine JSON report path (default BENCH_engines.json)")
     parser.add_argument("--smoke", action="store_true",
@@ -159,33 +155,6 @@ def main(argv=None) -> int:
         write_report(
             args.engines_out, "scenario-engines", ",".join(engines), wall_s, rows,
             events_per_scenario=events, seed=args.seed, engines=engines,
-        )
-
-    if args.out and "compiled" in engines and "reference" in engines:
-        # historical schema: compiled vs reference, one row per scenario
-        legacy_rows = [
-            {
-                "scenario": r["scenario"],
-                "app": r["app"],
-                "topology": r["topology"],
-                "events": r["events"],
-                "events_handled": r["events_handled"],
-                "compiled_eps": r["eps"]["compiled"],
-                "reference_eps": r["eps"]["reference"],
-                "speedup": (
-                    round(r["eps"]["compiled"] / r["eps"]["reference"], 2)
-                    if r["eps"]["reference"]
-                    else 0.0
-                ),
-                "ok": r["ok"],
-                "engines_agree": r["engines_agree"],
-                "array_digest": r["array_digest"],
-            }
-            for r in rows
-        ]
-        write_report(
-            args.out, "scenarios", "compiled,reference", wall_s, legacy_rows,
-            events_per_scenario=events, seed=args.seed,
         )
 
     bad = [r["scenario"] for r in rows if not (r["ok"] and r["engines_agree"])]

@@ -51,12 +51,12 @@ from repro.errors import (
 )
 from repro.frontend import CheckedProgram, check_program, parse_program
 from repro.interp import (
+    DEFAULT_ENGINE,
     ENGINE_NAMES,
     ENGINES,
-    CompiledEngine,
-    CompiledSwitchRuntime,
+    CodegenEngine,
+    CodegenSwitchRuntime,
     EventInstance,
-    HandlerCompiler,
     HandlerInterpreter,
     Network,
     PisaEngine,
@@ -78,7 +78,6 @@ from repro.scenarios import (
     Scenario,
     run_scenario,
     run_scenario_all_engines,
-    run_scenario_both,
     run_scenario_engines,
 )
 from repro.workloads import DnsTrafficMix, FlowWorkload, LinkFailureSchedule
@@ -104,15 +103,15 @@ __all__ = [
     "Switch",
     "SwitchRuntime",
     "HandlerInterpreter",
-    "CompiledSwitchRuntime",
-    "HandlerCompiler",
+    "CodegenSwitchRuntime",
     # execution engines
     "SwitchEngine",
     "ReferenceEngine",
-    "CompiledEngine",
+    "CodegenEngine",
     "PisaEngine",
     "ENGINES",
     "ENGINE_NAMES",
+    "DEFAULT_ENGINE",
     "make_engine",
     "register_engine",
     "resolve_engine_name",
@@ -138,7 +137,6 @@ __all__ = [
     "run_scenario",
     "run_scenario_engines",
     "run_scenario_all_engines",
-    "run_scenario_both",
     # errors
     "LucidError",
     "LexError",

@@ -2,11 +2,12 @@
 simulated switch or network of switches."""
 
 from repro.interp.arrays import RuntimeArray
-from repro.interp.compiled import CompiledSwitchRuntime, HandlerCompiler
+from repro.interp.codegen import CodegenSwitchRuntime
 from repro.interp.engine import (
+    DEFAULT_ENGINE,
     ENGINE_NAMES,
     ENGINES,
-    CompiledEngine,
+    CodegenEngine,
     PisaEngine,
     ReferenceEngine,
     SwitchEngine,
@@ -38,16 +39,16 @@ __all__ = [
     "CONTROL",
     "SwitchEngine",
     "ReferenceEngine",
-    "CompiledEngine",
+    "CodegenEngine",
     "PisaEngine",
     "ENGINES",
     "ENGINE_NAMES",
+    "DEFAULT_ENGINE",
     "make_engine",
     "register_engine",
     "resolve_engine_name",
     "HandlerInterpreter",
-    "CompiledSwitchRuntime",
-    "HandlerCompiler",
+    "CodegenSwitchRuntime",
     "SwitchRuntime",
     "ExecutionResult",
     "lucid_hash",

@@ -1,8 +1,6 @@
 """Source-codegen fast path: compile checked handlers to flat Python source.
 
-Where :mod:`repro.interp.compiled` lowers each handler into nested Python
-closures (one closure call per AST node at run time), this module goes one
-step further and emits *flat Python source text* for every handler — locals
+This module emits *flat Python source text* for every handler — locals
 instead of frame slots, memop bodies and the ``repro.ops`` ALU helpers
 inlined at their call sites, constant-folded operands, and array cell lists
 bound directly into the generated module — then compiles the whole program
@@ -18,13 +16,12 @@ member bindings, extern tables, array handles) is passed in through a
 bindings dict consumed by the generated ``_build`` factory, which returns
 per-switch handler functions closing over those bindings.
 
-Semantics are pinned to the closure engine (and therefore to the tree
-walker): identical results, identical error strings raised at the same
-evaluation points, identical array read/write counter increments, identical
-RNG and event-serial consumption order.  Any handler the emitter cannot
-lower falls back to the tree walker, exactly like
-:class:`~repro.interp.compiled.CompiledSwitchRuntime`; the differential
-suites in ``tests/test_engines.py`` and ``repro.fuzz`` pin the parity.
+Semantics are pinned to the tree walker: identical results, identical error
+strings raised at the same evaluation points, identical array read/write
+counter increments, identical RNG and event-serial consumption order.  Any
+handler the emitter cannot lower falls back to the tree walker; the
+differential suites in ``tests/test_compiled_interp.py``,
+``tests/test_engines.py`` and ``repro.fuzz`` pin the parity.
 
 Use ``repro.scenarios --engine codegen --dump-source`` (or
 :func:`dump_program_source`) to inspect the generated text.
@@ -40,7 +37,6 @@ from repro.errors import InterpError
 from repro.frontend import ast
 from repro.frontend.symbols import ARRAY_METHODS, EVENT_COMBINATORS, ProgramInfo
 from repro.frontend.type_checker import CheckedProgram
-from repro.interp.compiled import _NO_HANDLER, _UNDEF
 from repro.interp.events import EventInstance
 from repro.interp.interpreter import (
     ExecutionResult,
@@ -63,11 +59,16 @@ _M_CODEGEN_FALLBACKS = _REGISTRY.counter(
 #: only read it, so one immutable instance serves every such invocation.
 _EMPTY_RESULT = ExecutionResult((), ())
 
+#: value of a declared-but-not-yet-initialised local
+_UNDEF = object()
+
+#: dictionary sentinel distinguishing "no handler" from "tree-walk fallback"
+_NO_HANDLER = object()
+
 
 class _EmitError(Exception):
-    """The emitter cannot lower this handler (mirrors the closure compiler's
-    compile-time ``InterpError``s): the handler falls back to the tree
-    walker."""
+    """The emitter cannot lower this handler: the handler falls back to the
+    tree walker."""
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +193,7 @@ def dump_program_source(checked: CheckedProgram) -> str:
 
 
 def _effective(stmts: Sequence[ast.Stmt]) -> List[ast.Stmt]:
-    """Flatten SSeq and drop SNoop, mirroring the closure compiler's
-    block-level filtering."""
+    """Flatten SSeq and drop SNoop (block-level filtering)."""
     out: List[ast.Stmt] = []
     for stmt in stmts:
         if isinstance(stmt, ast.SNoop):
@@ -209,8 +209,8 @@ class _Env:
     """Per-body name resolution state.
 
     ``scope`` maps Lucid names to generated Python locals and is *shared*
-    mutable state threaded through branches in textual order — exactly like
-    the closure compiler's flat ``_Scope`` — while ``defined`` (names known
+    mutable state threaded through branches in textual order — one flat
+    handler scope, like the tree walker's — while ``defined`` (names known
     to hold a value on every path reaching this point) is copied per branch
     and intersected at joins."""
 
@@ -533,8 +533,8 @@ class HandlerSourceCompiler:
 
     def _stmt(self, stmt: ast.Stmt, env: _Env) -> bool:
         if isinstance(stmt, ast.SLocal):
-            # the initialiser is compiled *before* the name is (re)declared,
-            # mirroring the closure compiler's slot-allocation order
+            # the initialiser is emitted *before* the name is (re)declared,
+            # so it still reads any earlier binding of the same name
             s, safe = self._value(stmt.init, env)
             py = env.scope.get(stmt.name)
             if py is None:
@@ -546,9 +546,9 @@ class HandlerSourceCompiler:
             name = stmt.name
             py = env.scope.get(name)
             if py is None:
-                # never declared: the closure compiler allocates the slot,
-                # compiles the value (compile errors still fall back), and
-                # raises before evaluating it
+                # never declared: allocate the local, emit the value
+                # (emit errors still fall back), and raise before
+                # evaluating it
                 env.scope[name] = self._local_name(name)
                 self._buffered(self._value, stmt.value, env)
                 self._line(
@@ -1011,7 +1011,7 @@ class HandlerSourceCompiler:
     # -- array methods ------------------------------------------------------
     def _anchor(self, e: Optional[ast.Expr], env: _Env) -> str:
         """Evaluate an array-method operand to a reusable atom *now*, keeping
-        the closure engine's operand evaluation order and its position
+        the tree walker's operand evaluation order and its position
         relative to the read/write counter bumps."""
         if e is None:
             return "0"
@@ -1105,7 +1105,7 @@ class HandlerSourceCompiler:
                           ir: Optional[tuple], idx_expr: ast.Expr,
                           value_exprs: List[ast.Expr], env: _Env) -> Tuple[str, bool]:
         if ir is not None:
-            # memop variant: closure evaluates idx, then the memop argument,
+            # memop variant: evaluate idx, then the memop argument,
             # then wraps the index, bumps, reads the old cell, stores
             idx_a = self._anchor(idx_expr, env)
             arg_a = self._anchor(value_exprs[0] if value_exprs else None, env)
@@ -1130,11 +1130,11 @@ class HandlerSourceCompiler:
             return ("0", True)
         py = env.scope[arr_expr.name]
         if arr_expr.name not in env.defined:
-            # the closure engine reads the raw slot here (no _UNDEF check):
+            # the raw local is read here (no _UNDEF check):
             # the sentinel is not a string, so _resolve raises the same error
             self._undef_inits.add(py)
-        # validated (and bound) mirrors of the closure compiler's
-        # compile-time memop_fn calls
+        # memops are validated (and bound) at emit time through
+        # memop_fn
         mvars = []
         for name in memop_names:
             self._memop_ir(name)
@@ -1204,8 +1204,7 @@ class HandlerSourceCompiler:
             ir = ("if", stored, local, stmt.cond, then_b[0].value, else_b[0].value)
         else:
             raise _EmitError(f"memop '{name}' body shape unsupported")
-        # validate every expression up front (the closure compiler does this
-        # inside memop_fn at handler-compile time)
+        # validate every expression up front, at emit time
         self._memop_str(ir, "_s", "_l")
         self._memop_cache[name] = ir
         return ir
@@ -1249,8 +1248,7 @@ class HandlerSourceCompiler:
 
 class CodegenSwitchRuntime:
     """Executes handlers through source-generated functions; drop-in
-    compatible with :class:`~repro.interp.interpreter.HandlerInterpreter`
-    and :class:`~repro.interp.compiled.CompiledSwitchRuntime`.
+    compatible with :class:`~repro.interp.interpreter.HandlerInterpreter`.
 
     The generated module is shared across every switch whose checked program
     has the same digest; this wrapper only materialises the per-switch
@@ -1293,7 +1291,7 @@ class CodegenSwitchRuntime:
     def fallback_handler_names(self) -> List[str]:
         """Handlers the emitter could not lower (they run through the tree
         walker instead).  Empty for every bundled application — asserted by
-        the differential suite, like the closure engine's equivalent."""
+        the differential suite."""
         return sorted(name for name, h in self._handlers.items() if h is None)
 
     # -- public entry --------------------------------------------------------
@@ -1312,9 +1310,9 @@ class CodegenSwitchRuntime:
         return fn(event.args)
 
     def _make_run_fast(self) -> Callable[[EventInstance], ExecutionResult]:
-        """Build the obs-free dispatch used by the network's inlined batch
-        drain.  The drain only engages when obs metrics are disabled (see
-        ``Network._fast_eligible``), so the per-event ``_OBS.enabled`` checks
+        """Build the obs-free dispatch used by the network's drain.  The drain
+        calls it only while obs metrics are disabled (see
+        ``Network._switch_entry``), so the per-event ``_OBS.enabled`` checks
         in :meth:`run` would always be false there — this closure hoists them
         (and the attribute lookups) out of the per-event path.  Behaviour is
         otherwise identical to :meth:`run`."""

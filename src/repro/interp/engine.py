@@ -2,17 +2,11 @@
 
 A :class:`~repro.interp.network.Switch` executes events through a
 *switch engine* — the substrate that runs one handler invocation and
-returns what it produced.  Four engines ship with the repository:
+returns what it produced.  Three engines ship with the repository:
 
 ``reference``
     The tree-walking :class:`~repro.interp.interpreter.HandlerInterpreter`.
-    Slow, obviously-correct AST interpretation; the semantic baseline.
-
-``compiled``
-    The closure-compiling fast path
-    (:class:`~repro.interp.compiled.CompiledSwitchRuntime`), behaviourally
-    identical to the reference engine and several times faster.  The
-    default.
+    Slow, obviously-correct AST interpretation; the semantic oracle.
 
 ``pisa``
     The hardware-accurate model: the program is lowered **once** through
@@ -30,15 +24,17 @@ returns what it produced.  Four engines ship with the repository:
     ``recirc_drops`` counter.
 
 ``codegen``
-    The source-generating fast path (:mod:`repro.interp.codegen`): each
-    handler body is emitted as flat Python source — slot-free locals,
-    inlined memops and ALU helpers, constant-folded operands, pre-bound
-    array cell lists — compiled once per program digest with
-    :func:`compile`/``exec`` and shared by every switch running the same
-    program.  Behaviourally identical to ``compiled`` and several times
-    faster again.
+    The fast engine and the default (:data:`DEFAULT_ENGINE`;
+    :mod:`repro.interp.codegen`): each handler body is emitted as flat
+    Python source — slot-free locals, inlined memops and ALU helpers,
+    constant-folded operands, pre-bound array cell lists — compiled once
+    per program digest with :func:`compile`/``exec`` and shared by every
+    switch running the same program.  Behaviourally identical to
+    ``reference``; a handler the emitter cannot lower falls back to the
+    tree walker.  Its obs-free ``run_fast`` is what the network's drain
+    calls while nothing observes dispatches.
 
-All four produce :class:`~repro.interp.interpreter.ExecutionResult`
+All three produce :class:`~repro.interp.interpreter.ExecutionResult`
 values, so the network scheduler is engine-agnostic: generated events —
 including delayed and multicast ones — round-trip through the same
 scheduler heap regardless of the substrate that produced them.  Identical
@@ -53,7 +49,6 @@ without touching the scheduler.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, Optional, Type
 
 from repro.errors import SimulationError
@@ -95,8 +90,8 @@ class SwitchEngine:
     def __init__(self, runtime: SwitchRuntime, config: Optional[object] = None):
         self.runtime = runtime
         self.config = config
-        #: the underlying executor object (``Switch.interpreter`` aliases it);
-        #: engines wrapping a distinct executor overwrite this
+        #: the underlying executor object; engines wrapping a distinct
+        #: executor overwrite this
         self.executor = self
 
     # -- execution ---------------------------------------------------------
@@ -156,20 +151,6 @@ class ReferenceEngine(SwitchEngine):
         self.run = self.executor.run  # direct bind: zero indirection per event
 
 
-class CompiledEngine(SwitchEngine):
-    """Closure-compiled handlers (the fast path)."""
-
-    name = "compiled"
-
-    def __init__(self, runtime: SwitchRuntime, config: Optional[object] = None):
-        super().__init__(runtime, config)
-        # imported lazily to keep module import order flexible
-        from repro.interp.compiled import CompiledSwitchRuntime
-
-        self.executor = CompiledSwitchRuntime(runtime)
-        self.run = self.executor.run
-
-
 class CodegenEngine(SwitchEngine):
     """Source-generated handlers: each handler body is emitted as flat
     Python source, compiled once per program digest, and shared across
@@ -184,8 +165,8 @@ class CodegenEngine(SwitchEngine):
 
         self.executor = CodegenSwitchRuntime(runtime)
         self.run = self.executor.run
-        # obs-free dispatch for the network's inlined batch drain (which only
-        # engages when nothing — tracer, profiler, obs — watches per-event)
+        # obs-free dispatch for the network's drain (used while no tracer,
+        # profiler or obs metrics watch individual dispatches)
         self.run_fast = self.executor.run_fast
 
 
@@ -359,13 +340,15 @@ class PisaEngine(SwitchEngine):
 #: engine registry: name -> constructor ``(runtime, config=...) -> SwitchEngine``
 ENGINES: Dict[str, Type[SwitchEngine]] = {
     ReferenceEngine.name: ReferenceEngine,
-    CompiledEngine.name: CompiledEngine,
     PisaEngine.name: PisaEngine,
     CodegenEngine.name: CodegenEngine,
 }
 
 #: the bundled engine names, in semantic-baseline-first order
-ENGINE_NAMES = ("reference", "compiled", "pisa", "codegen")
+ENGINE_NAMES = ("reference", "pisa", "codegen")
+
+#: the engine used when none is named
+DEFAULT_ENGINE = "codegen"
 
 
 def register_engine(cls: Type[SwitchEngine]) -> Type[SwitchEngine]:
@@ -377,38 +360,16 @@ def register_engine(cls: Type[SwitchEngine]) -> Type[SwitchEngine]:
 
 
 def resolve_engine_name(
-    engine: Optional[str] = None,
-    fast_path: Optional[bool] = None,
-    default: str = "compiled",
+    engine: Optional[str] = None, default: str = DEFAULT_ENGINE
 ) -> str:
-    """Resolve the ``engine=`` / deprecated ``fast_path=`` parameter pair.
-
-    ``engine`` wins when both are given (and they must agree); ``fast_path``
-    is kept as a compatibility alias: ``True`` → ``"compiled"``, ``False`` →
-    ``"reference"``.  Passing ``fast_path`` emits a :class:`DeprecationWarning`.
-    """
-    if fast_path is not None:
-        warnings.warn(
-            "fast_path= is deprecated; use engine='compiled' / engine='reference'",
-            DeprecationWarning,
-            stacklevel=3,
+    """Validate an ``engine=`` parameter; ``None`` selects ``default``."""
+    if engine is None:
+        return default
+    if engine not in ENGINES:
+        raise SimulationError(
+            f"unknown engine '{engine}'; known engines: {sorted(ENGINES)}"
         )
-    if engine is not None:
-        if engine not in ENGINES:
-            raise SimulationError(
-                f"unknown engine '{engine}'; known engines: {sorted(ENGINES)}"
-            )
-        if fast_path is not None:
-            alias = "compiled" if fast_path else "reference"
-            if alias != engine:
-                raise SimulationError(
-                    f"conflicting engine selection: engine='{engine}' but "
-                    f"fast_path={fast_path} (the deprecated alias for '{alias}')"
-                )
-        return engine
-    if fast_path is not None:
-        return "compiled" if fast_path else "reference"
-    return default
+    return engine
 
 
 def make_engine(

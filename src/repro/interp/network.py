@@ -15,6 +15,13 @@ physical links between switches:
 
 The simulation also accounts recirculation bandwidth per switch so the
 overhead analyses of Sections 7.2-7.3 can be reproduced.
+
+Execution is one drain loop (:meth:`Network.run`): the event heap merged
+with a time-ordered external source, which is simply empty for heap-only
+runs.  The callable that runs one event on a switch is chosen once per
+switch when the loop starts, and again after every CONTROL action: the
+engine's obs-free ``run_fast`` while nothing observes dispatches, otherwise
+a wrapper that feeds the tracer, the handler profiler and the obs metrics.
 """
 
 from __future__ import annotations
@@ -156,15 +163,14 @@ class Switch:
     ``engine`` selects the execution substrate (see
     :mod:`repro.interp.engine`):
 
-    * ``"compiled"`` (the default) — handlers lowered to Python closures;
+    * ``"codegen"`` (the default) — handlers emitted as Python source;
     * ``"reference"`` — the tree-walking AST interpreter;
     * ``"pisa"`` — the program compiled through the full backend and
       executed stage-by-stage on the pipeline layout, with recirculation
       and delay-queue cost accounting.
 
     All engines are behaviourally identical (pinned by the differential
-    conformance and scenario-parity suites).  ``fast_path=`` is kept as a
-    deprecated boolean alias (``True`` → compiled, ``False`` → reference).
+    conformance and scenario-parity suites).
     """
 
     def __init__(
@@ -172,29 +178,19 @@ class Switch:
         switch_id: int,
         checked: CheckedProgram,
         engine: Optional[str] = None,
-        fast_path: Optional[bool] = None,
         config: Optional[SchedulerConfig] = None,
     ):
         self.id = switch_id
-        name = resolve_engine_name(engine, fast_path)
-        self.runtime = SwitchRuntime(
-            checked, switch_id=switch_id, fast_path=(name != "reference")
-        )
+        name = resolve_engine_name(engine)
+        self.runtime = SwitchRuntime(checked, switch_id=switch_id)
         self.engine: SwitchEngine = make_engine(name, self.runtime, config=config)
         self.engine_name = name
-        #: backwards-compatible alias for the engine's executor object
-        self.interpreter = self.engine.executor
         self.stats = SwitchStats()
         self.log: List[str] = []
         #: push counter for events generated *by* this switch — the low bits
         #: of their deterministic heap keys (see the _QueuedEvent comment)
         self.origin_seq = 0
         self._key_base = (switch_id + 1) << GEN_KEY_SHIFT
-
-    @property
-    def fast_path(self) -> bool:
-        """Deprecated: ``True`` for any engine faster than the tree walker."""
-        return self.engine_name != "reference"
 
     def array(self, name: str):
         return self.runtime.array(name)
@@ -219,7 +215,7 @@ class Switch:
 #   owns the origin switch.
 #
 # Externals therefore always win time ties against generated events
-# (matching the streaming drain's "source item first" rule), and two
+# (matching the drain's "source item first" rule), and two
 # generated events order by (origin switch, per-origin push order).  Both
 # are exactly reproducible across any shard partitioning: an event's key
 # depends only on dispatches at strictly earlier timestamps (all scheduling
@@ -265,12 +261,11 @@ class Network:
         self,
         config: Optional[SchedulerConfig] = None,
         engine: Optional[str] = None,
-        fast_path: Optional[bool] = None,
     ):
         self.config = config or SchedulerConfig()
         #: default engine name for switches added to this network (see
-        #: :class:`Switch`); ``fast_path=`` is the deprecated boolean alias
-        self.engine = resolve_engine_name(engine, fast_path)
+        #: :class:`Switch`)
+        self.engine = resolve_engine_name(engine)
         self.switches: Dict[int, Switch] = {}
         self.links: Dict[Tuple[int, int], int] = {}
         self.now_ns = 0
@@ -286,8 +281,11 @@ class Network:
         #: parent links carried on ``EventInstance.trace_parent``
         self.tracer = None
         #: optional :class:`repro.obs.profile.HandlerProfiler` — per-handler
-        #: wall/sim-time accounting, fed by :meth:`_dispatch`
+        #: wall/sim-time accounting, fed by :meth:`_observed_run`
         self.profiler = None
+        #: span id of the dispatch in progress (the ``trace_parent`` of the
+        #: events it generates); only a tracer sets it
+        self._trace_parent: Optional[int] = None
         #: the streaming source of the last interrupted :meth:`run`, if it
         #: was left partially consumed (guards :meth:`reset`, see there)
         self._partial_source: Optional[Iterable[SourceItem]] = None
@@ -300,31 +298,24 @@ class Network:
         self._shard_owned: Optional[frozenset] = None
         self._shard_export: Optional[Callable[[int, int, int, EventInstance], None]] = None
 
-    @property
-    def fast_path(self) -> bool:
-        """Deprecated alias: ``True`` unless the default engine is the
-        tree-walking reference interpreter."""
-        return self.engine != "reference"
-
     # -- topology -------------------------------------------------------------
     def add_switch(
         self,
         switch_id: int,
         program: "CheckedProgram | str",
-        fast_path: Optional[bool] = None,
         engine: Optional[str] = None,
     ) -> Switch:
         """Add a switch running ``program`` (source text or a checked program).
 
         ``engine`` overrides the network-wide engine default for this switch
-        (``"reference"``, ``"compiled"``, or ``"pisa"``) — networks may mix
-        engines freely, e.g. one PISA-modelled switch inside an interpreted
-        fabric.  ``fast_path`` is the deprecated boolean alias.
+        (``"reference"``, ``"pisa"`` or ``"codegen"``) — networks may mix
+        engines freely, e.g. one PISA-modelled switch inside a codegen
+        fabric.
         """
         if switch_id in self.switches:
             raise SimulationError(f"switch {switch_id} already exists")
         checked = check_program(program) if isinstance(program, str) else program
-        name = resolve_engine_name(engine, fast_path, default=self.engine)
+        name = resolve_engine_name(engine, default=self.engine)
         switch = Switch(switch_id, checked, engine=name, config=self.config)
         self.switches[switch_id] = switch
         return switch
@@ -519,80 +510,73 @@ class Network:
             self._push(arrival, target, delivered, source._key_base | source.origin_seq)
 
     # -- execution -----------------------------------------------------------------
-    def _dispatch(self, switch: Switch, event: EventInstance) -> ExecutionResult:
-        """Run one event on one switch and apply all per-event accounting
-        (stats, logs, generated-event scheduling).  Shared by :meth:`step`
-        and the batched drain so the two loops cannot drift apart."""
-        switch.runtime.time_ns = self.now_ns
-        if event.source == switch.id:
-            # the event was generated here and came back through the
-            # recirculation port — let the engine release its queue slot
-            switch.engine.on_recirc_arrival(event)
+    def _observed_run(self, switch: Switch) -> Callable[[EventInstance], ExecutionResult]:
+        """``switch.engine.run`` wrapped with the per-dispatch observers: the
+        tracer span (whose id becomes the ``trace_parent`` of the generated
+        events), the handler profiler sample and the obs metrics."""
+        run = switch.engine.run
         tracer = self.tracer
-        span_id = (
-            tracer.begin_handle(
-                event, switch.id, self.now_ns, self.config.pipeline_latency_ns
-            )
-            if tracer is not None
-            else None
-        )
         prof = self.profiler
         obs_on = _OBS.enabled
-        if prof is not None or obs_on:
+        latency = self.config.pipeline_latency_ns
+
+        def observed(event: EventInstance) -> ExecutionResult:
+            if tracer is not None:
+                self._trace_parent = tracer.begin_handle(
+                    event, switch.id, self.now_ns, latency
+                )
             start = perf_counter()
-            result = switch.engine.run(event)
+            result = run(event)
             wall_s = perf_counter() - start
             if prof is not None:
-                prof.record(event.name, wall_s, self.config.pipeline_latency_ns)
+                prof.record(event.name, wall_s, latency)
             if obs_on:
                 _Metrics.dispatch_seconds.observe(wall_s)
-        else:
-            result = switch.engine.run(event)
-        stats = switch.stats
-        stats.events_handled += 1
-        stats.handled_by_event[event.name] = stats.handled_by_event.get(event.name, 0) + 1
-        if result.dropped:
-            stats.drops += 1
-        if result.prints:
-            switch.log.extend(result.prints)
-        if obs_on:
-            _Metrics.events_handled.labels(event.name).inc()
-            _Metrics.heap_depth.set(len(self._queue))
-            _Metrics.sim_time_ns.set(self.now_ns)
-            if result.dropped:
-                _Metrics.events_dropped.inc()
-        for generated in result.generated:
-            self._schedule_generated(switch, generated, span_id)
-        return result
+                _Metrics.events_handled.labels(event.name).inc()
+                _Metrics.heap_depth.set(len(self._queue))
+                _Metrics.sim_time_ns.set(self.now_ns)
+                if result.dropped:
+                    _Metrics.events_dropped.inc()
+            return result
 
-    def step(self) -> Optional[TraceEntry]:
-        """Execute the next pending event; return its trace entry (or None)."""
-        if not self._queue:
-            return None
-        time_ns, key, switch_id, event = heapq.heappop(self._queue)
-        self._last_pop_key = key
-        self.now_ns = max(self.now_ns, time_ns)
-        if switch_id == CONTROL:
-            # a control action re-queued by an interrupted streaming run
-            event(self)
-            return None
-        switch = self.switches.get(switch_id)
-        if switch is None:
-            return None
-        result = self._dispatch(switch, event)
-        entry = TraceEntry(time_ns=self.now_ns, switch_id=switch.id, event=event, result=result)
-        if self.trace_enabled:
-            self.trace.append(entry)
-        if self.on_handle is not None:
-            self.on_handle(entry)
-        return entry
+        return observed
+
+    def _switch_entry(self, switch: Switch) -> tuple:
+        """Per-switch lookups hoisted out of the drain: the switch, runtime,
+        the callable that runs one event, stats fields, log, and the
+        recirc-arrival hook (None when the engine does not override the
+        no-op base method).
+
+        The callable is chosen here, once per switch per drain (and again
+        after every CONTROL action): the engine's obs-free ``run_fast`` (or
+        ``run``) while nothing observes dispatches, else
+        :meth:`_observed_run`.  ``run_fast`` is looked up on the engine
+        instance each time, so a wrapper installed there is honoured."""
+        engine = switch.engine
+        hook = (
+            engine.on_recirc_arrival
+            if type(engine).on_recirc_arrival is not SwitchEngine.on_recirc_arrival
+            else None
+        )
+        if self.tracer is None and self.profiler is None and not _OBS.enabled:
+            run = getattr(engine, "run_fast", engine.run)
+        else:
+            run = self._observed_run(switch)
+        return (
+            switch,
+            switch.runtime,
+            run,
+            switch.stats,
+            switch.stats.handled_by_event,
+            switch.log,
+            hook,
+        )
 
     def run(
         self,
         until_ns: Optional[int] = None,
         max_events: Optional[int] = None,
         source: Optional[Iterable[SourceItem]] = None,
-        batch: bool = True,
     ) -> int:
         """Run the simulation until the queue drains, ``until_ns`` is reached,
         or ``max_events`` have been handled.  Returns the number of events
@@ -606,167 +590,38 @@ class Network:
         nothing is materialised — *provided tracing is off*
         (``trace_enabled=False``, as the scenario runner configures): with
         tracing on, :attr:`trace` still accumulates one entry per handled
-        event.  A streaming run returns once the source is
-        exhausted and the queue is drained up to the last source timestamp
-        (or ``until_ns`` when given); later events — e.g. self-perpetuating
-        control loops — stay queued for a subsequent plain :meth:`run`.
+        event.  A streaming run returns once the source is exhausted and the
+        queue is drained up to the last source timestamp (or ``until_ns``
+        when given); later events — e.g. self-perpetuating control loops —
+        stay queued for a subsequent plain :meth:`run`.  Without a source
+        (or with one that yields nothing) the heap is drained fully.
 
-        When tracing is off (``trace_enabled=False`` and no ``on_handle``
-        callback) the drain runs in a batched mode that skips per-event
-        :class:`TraceEntry` allocation entirely.  With ``batch=True`` (the
-        default) and no observer of any kind attached (no tracer, no
-        profiler, obs metrics disabled), the drain additionally inlines the
-        per-event dispatch — engine/stats/log lookups are hoisted out of the
-        loop instead of re-entering :meth:`_dispatch` per event.  The fast
-        drain is behaviourally identical; ``batch=False`` forces the
-        plain path (useful for A/B-ing the scheduler itself).
-        """
-        if source is not None:
-            return self._run_streaming(source, until_ns, max_events, batch)
-        if not self.trace_enabled and self.on_handle is None:
-            return self._run_batched(until_ns, max_events, batch)
-        handled = 0
-        while self._queue:
-            if max_events is not None and handled >= max_events:
-                break
-            if until_ns is not None and self._queue[0][0] > until_ns:
-                break
-            if self.step() is not None:
-                handled += 1
-        if until_ns is not None:
-            self.now_ns = max(self.now_ns, until_ns)
-        return handled
+        On equal timestamps the source item runs first, which matches the
+        semantics of injecting the whole stream up front (pre-run injections
+        get earlier serial numbers than generated events).  At most one
+        not-yet-due source item is held at a time; if the run stops early
+        (``max_events``/``until_ns``) while one is held, it is handed back
+        through the source's ``push_back`` or, failing that, pushed onto the
+        queue so it is not lost.
 
-    def _fast_eligible(self, batch: bool) -> bool:
-        """Whether the inlined batch drain may be used: nothing observes
-        individual dispatches (per-event accounting still happens; only the
-        observation hooks checked here would be skipped)."""
-        return (
-            batch
-            and self.tracer is None
-            and self.profiler is None
-            and not _OBS.enabled
-        )
-
-    def _fast_switch_entry(self, switch: Switch) -> tuple:
-        """Hoisted per-switch lookups for the inlined drain: runtime, bound
-        engine.run, stats fields, log, and the recirc-arrival hook (None when
-        the engine does not override the no-op base method)."""
-        engine = switch.engine
-        hook = (
-            engine.on_recirc_arrival
-            if type(engine).on_recirc_arrival is not SwitchEngine.on_recirc_arrival
-            else None
-        )
-        return (
-            switch,
-            switch.runtime,
-            # engines may expose an obs-free ``run_fast`` for this drain
-            # (the drain only engages when obs/tracing is off, so the
-            # per-event observability checks inside ``run`` are dead weight)
-            getattr(engine, "run_fast", engine.run),
-            switch.stats,
-            switch.stats.handled_by_event,
-            switch.log,
-            hook,
-        )
-
-    def _run_batched(
-        self, until_ns: Optional[int], max_events: Optional[int], batch: bool = True
-    ) -> int:
-        """Trace-free drain: identical scheduling semantics to :meth:`step`
-        in a loop, minus the per-event trace-entry allocation.  When nothing
-        observes dispatches (:meth:`_fast_eligible`) the loop also inlines
-        :meth:`_dispatch` with per-switch lookups hoisted out."""
-        handled = 0
-        queue = self._queue
-        switches = self.switches
-        pop = heapq.heappop
-        fast = self._fast_eligible(batch)
-        fast_cache: Dict[int, tuple] = {}
-        while queue:
-            if max_events is not None and handled >= max_events:
-                break
-            if until_ns is not None and queue[0][0] > until_ns:
-                break
-            time_ns, _, switch_id, event = pop(queue)
-            if time_ns > self.now_ns:
-                self.now_ns = time_ns
-            if switch_id == CONTROL:
-                event(self)
-                # the control action may have attached a tracer/profiler or
-                # toggled obs — re-check eligibility and drop stale hoists
-                fast = self._fast_eligible(batch)
-                fast_cache.clear()
-                continue
-            if fast:
-                cached = fast_cache.get(switch_id)
-                if cached is None:
-                    switch = switches.get(switch_id)
-                    if switch is None:
-                        continue
-                    cached = fast_cache[switch_id] = self._fast_switch_entry(switch)
-                switch, runtime, run, stats, by_event, log, hook = cached
-                runtime.time_ns = self.now_ns
-                if hook is not None and event.source == switch_id:
-                    hook(event)
-                result = run(event)
-                stats.events_handled += 1
-                name = event.name
-                by_event[name] = by_event.get(name, 0) + 1
-                if result.dropped:
-                    stats.drops += 1
-                if result.prints:
-                    log.extend(result.prints)
-                if result.generated:
-                    for generated in result.generated:
-                        self._schedule_generated(switch, generated, None)
-                handled += 1
-                continue
-            switch = switches.get(switch_id)
-            if switch is None:
-                continue
-            self._dispatch(switch, event)
-            handled += 1
-        if until_ns is not None:
-            self.now_ns = max(self.now_ns, until_ns)
-        return handled
-
-    def _run_streaming(
-        self,
-        source: Iterable[SourceItem],
-        until_ns: Optional[int],
-        max_events: Optional[int],
-        batch: bool = True,
-    ) -> int:
-        """Merge a time-ordered external event stream with the internal heap.
-
-        The pop side must stay semantically identical to :meth:`step` and
-        :meth:`_run_batched` (clock advance, CONTROL dispatch, missing-switch
-        skip); all per-event accounting is shared through :meth:`_dispatch`.
-
-        Holds at most one not-yet-due source item at a time.  On equal
-        timestamps the source item runs first, which matches the semantics of
-        injecting the whole stream up front (pre-run injections get earlier
-        serial numbers than generated events).  If the run stops early
-        (``max_events``/``until_ns``) while a source item is held, the item is
-        pushed onto the queue so it is not lost.  A source that yields
-        nothing degenerates to a plain :meth:`run` (full drain).
+        There is one drain loop.  What observes a dispatch is chosen per
+        switch when the loop starts and again after every CONTROL action
+        (see :meth:`_switch_entry`); a :class:`TraceEntry` is built only
+        when :attr:`trace_enabled` is set or an :attr:`on_handle` consumer
+        is attached.
         """
         handled = 0
-        items = iter(source)
+        items = iter(() if source is None else source)
         pending: Optional[SourceItem] = None
         last_source_ns: Optional[int] = None
         exhausted = False
-        traced = self.trace_enabled or self.on_handle is not None
         queue = self._queue
-        fast = not traced and self._fast_eligible(batch)
-        # semi-fast: a trace/on_handle consumer wants per-event entries, but
-        # no tracer/profiler/obs watches the dispatch itself — inline it with
-        # hoisted lookups and build only the TraceEntry on top (the dominant
-        # shape for scenario runs with streaming invariants)
-        semi = traced and self._fast_eligible(batch)
-        fast_cache: Dict[int, tuple] = {}
+        switches = self.switches
+        pop = heapq.heappop
+        schedule = self._schedule_generated
+        traced = self.trace_enabled or self.on_handle is not None
+        entries: Dict[int, tuple] = {}
+        self._trace_parent = None
         while True:
             if pending is None and not exhausted:
                 pending = next(items, None)
@@ -774,111 +629,71 @@ class Network:
                     exhausted = True
             if max_events is not None and handled >= max_events:
                 break
-            take_source = pending is not None and (
-                not queue or pending[0] <= queue[0][0]
-            )
-            if take_source:
-                time_ns, switch_id, payload = pending
+            if pending is not None and (not queue or pending[0] <= queue[0][0]):
+                time_ns, switch_id, event = pending
                 if until_ns is not None and time_ns > until_ns:
                     break
                 pending = None
                 if time_ns > self.now_ns:
                     self.now_ns = time_ns
                 last_source_ns = self.now_ns
-                if switch_id == CONTROL:
-                    payload(self)
-                    fast = not traced and self._fast_eligible(batch)
-                    semi = traced and self._fast_eligible(batch)
-                    fast_cache.clear()
-                    continue
-                switch = self.switches.get(switch_id)
-                if switch is None:
-                    raise SimulationError(f"no switch with id {switch_id}")
-                event = payload
-                if traced:
-                    self._last_pop_key = None
+                key = None
             elif queue:
-                top_ns = queue[0][0]
-                if until_ns is not None and top_ns > until_ns:
+                time_ns = queue[0][0]
+                if until_ns is not None and time_ns > until_ns:
                     break
                 if (
                     exhausted
                     and until_ns is None
                     and last_source_ns is not None
-                    and top_ns > last_source_ns
+                    and time_ns > last_source_ns
                 ):
                     break
-                time_ns, pop_key, switch_id, event = heapq.heappop(queue)
-                if traced:
-                    self._last_pop_key = pop_key
+                time_ns, key, switch_id, event = pop(queue)
                 if time_ns > self.now_ns:
                     self.now_ns = time_ns
-                if switch_id == CONTROL:
-                    event(self)
-                    fast = not traced and self._fast_eligible(batch)
-                    semi = traced and self._fast_eligible(batch)
-                    fast_cache.clear()
-                    continue
-                switch = self.switches.get(switch_id)
-                if switch is None:
-                    continue
             else:
                 break
-            if fast:
-                # inlined _dispatch (see _run_batched); nothing observes
-                # dispatches here, so TraceEntry is never built either
-                cached = fast_cache.get(switch.id)
-                if cached is None:
-                    cached = fast_cache[switch.id] = self._fast_switch_entry(switch)
-                _, runtime, run, stats, by_event, log, hook = cached
-                runtime.time_ns = self.now_ns
-                if hook is not None and event.source == switch.id:
-                    hook(event)
-                result = run(event)
-                stats.events_handled += 1
-                name = event.name
-                by_event[name] = by_event.get(name, 0) + 1
-                if result.dropped:
-                    stats.drops += 1
-                if result.prints:
-                    log.extend(result.prints)
-                if result.generated:
-                    for generated in result.generated:
-                        self._schedule_generated(switch, generated, None)
-                handled += 1
+            if switch_id == CONTROL:
+                event(self)
+                # the action may have attached or detached observers
+                traced = self.trace_enabled or self.on_handle is not None
+                entries.clear()
+                self._trace_parent = None
                 continue
-            if semi:
-                # inlined _dispatch (tracer/profiler/obs are off — only the
-                # TraceEntry consumers below observe this event)
-                cached = fast_cache.get(switch.id)
-                if cached is None:
-                    cached = fast_cache[switch.id] = self._fast_switch_entry(switch)
-                _, runtime, run, stats, by_event, log, hook = cached
-                runtime.time_ns = self.now_ns
-                if hook is not None and event.source == switch.id:
-                    hook(event)
-                result = run(event)
-                stats.events_handled += 1
-                name = event.name
-                by_event[name] = by_event.get(name, 0) + 1
-                if result.dropped:
-                    stats.drops += 1
-                if result.prints:
-                    log.extend(result.prints)
-                if result.generated:
-                    for generated in result.generated:
-                        self._schedule_generated(switch, generated, None)
-            else:
-                result = self._dispatch(switch, event)
+            entry = entries.get(switch_id)
+            if entry is None:
+                switch = switches.get(switch_id)
+                if switch is None:
+                    if key is None:
+                        raise SimulationError(f"no switch with id {switch_id}")
+                    continue
+                entry = entries[switch_id] = self._switch_entry(switch)
+            switch, runtime, run, stats, by_event, log, hook = entry
+            runtime.time_ns = self.now_ns
+            if hook is not None and event.source == switch_id:
+                hook(event)
+            result = run(event)
+            stats.events_handled += 1
+            name = event.name
+            by_event[name] = by_event.get(name, 0) + 1
+            if result.dropped:
+                stats.drops += 1
+            if result.prints:
+                log.extend(result.prints)
+            if result.generated:
+                for generated in result.generated:
+                    schedule(switch, generated, self._trace_parent)
             handled += 1
             if traced:
-                entry = TraceEntry(
-                    time_ns=self.now_ns, switch_id=switch.id, event=event, result=result
+                self._last_pop_key = key
+                trace_entry = TraceEntry(
+                    time_ns=self.now_ns, switch_id=switch_id, event=event, result=result
                 )
                 if self.trace_enabled:
-                    self.trace.append(entry)
+                    self.trace.append(trace_entry)
                 if self.on_handle is not None:
-                    self.on_handle(entry)
+                    self.on_handle(trace_entry)
         if pending is not None:
             # interrupted with an item in hand: give it back to sources that
             # support it (keeps source-vs-heap tie-breaking identical when the
@@ -889,9 +704,10 @@ class Network:
                 push_back(pending)
             else:
                 self._push(max(pending[0], self.now_ns), pending[1], pending[2])
-        # remember a partially consumed source so reset() cannot silently
-        # replay the same stream from a mid-stream cursor
-        self._partial_source = None if (exhausted and pending is None) else source
+        if source is not None:
+            # remember a partially consumed source so reset() cannot silently
+            # replay the same stream from a mid-stream cursor
+            self._partial_source = None if (exhausted and pending is None) else source
         if until_ns is not None:
             self.now_ns = max(self.now_ns, until_ns)
         return handled
@@ -1049,11 +865,10 @@ class Network:
 
         Clears the event queue, clock, trace, per-switch stats and logs, and
         restored failed links.  With ``arrays=True`` (the default) every
-        switch's persistent arrays are zeroed as well — the compiled fast path
-        keeps working because its closures hold the :class:`RuntimeArray`
-        objects, not their cells.  Without ``reset()``, consecutive
-        :meth:`run` calls *accumulate*: stats, traces, and array state carry
-        over (see ``tests/test_scenarios.py``).
+        switch's persistent arrays are zeroed in place, so the cell lists
+        bound into generated codegen modules stay valid.  Without
+        ``reset()``, consecutive :meth:`run` calls *accumulate*: stats,
+        traces, and array state carry over (see ``tests/test_scenarios.py``).
 
         Per-run observers are detached too: an attached tracer, profiler, or
         ``on_handle`` callback belongs to the run that installed it, and
@@ -1095,6 +910,7 @@ class Network:
         self.profiler = None
         self.on_handle = None
         self._last_pop_key = None
+        self._trace_parent = None
         for switch in self.switches.values():
             switch.stats = SwitchStats()
             switch.log.clear()
@@ -1150,10 +966,9 @@ class Network:
 def single_switch_network(
     program: "CheckedProgram | str",
     config: Optional[SchedulerConfig] = None,
-    fast_path: Optional[bool] = None,
     engine: Optional[str] = None,
 ) -> Tuple[Network, Switch]:
     """Convenience constructor for the common one-switch case."""
-    network = Network(config=config, engine=resolve_engine_name(engine, fast_path))
+    network = Network(config=config, engine=engine)
     switch = network.add_switch(0, program)
     return network, switch

@@ -1,5 +1,5 @@
 """The scenario runner: wire an application + topology + streaming traffic +
-invariants, run it on any execution engine (reference interpreter, compiled
+invariants, run it on any execution engine (reference interpreter, codegen
 fast path, or the PISA pipeline model), and report verdicts and per-switch
 stats — including pipeline/recirculation statistics for engines that model
 the hardware substrate.
@@ -42,7 +42,7 @@ class ScenarioSetup:
     stateful traffic models and invariants never leak between engines."""
 
     topology: Topology
-    #: engine-name -> ready network factory (``"reference" | "compiled" | "pisa"``)
+    #: engine-name -> ready network factory (``"reference" | "pisa" | "codegen"``)
     make_network: Callable[[str], Network]
     #: zero-arg factory returning the streaming traffic source
     traffic: Callable[[], Iterable[SourceItem]]
@@ -320,20 +320,19 @@ def build_result(
 
 
 def run_setup(setup: ScenarioSetup, scenario_name: str, seed: int,
-              fast_path: Optional[bool] = None,
               engine: Optional[str] = None,
               tracer: Optional[object] = None,
               profile: bool = False) -> ScenarioResult:
-    """Execute one prepared scenario on one engine (``engine=`` names it;
-    ``fast_path=`` remains as the deprecated boolean alias).  ``tracer`` /
-    ``profile`` attach observability hooks — see :func:`prepare_run`.
+    """Execute one prepared scenario on one engine (``engine=`` names it).
+    ``tracer`` / ``profile`` attach observability hooks — see
+    :func:`prepare_run`.
 
     Wall time is split three ways so ``events_per_sec`` measures the engine
     rather than everything around it: ``setup_s`` (network construction +
     handler compilation + preload), ``traffic_s`` (workload generation —
     the traffic stream is materialised through the replayable cursor before
     the clock starts), and ``wall_s`` (the drain + settle only)."""
-    engine_name = resolve_engine_name(engine, fast_path)
+    engine_name = resolve_engine_name(engine)
     t0 = time.perf_counter()
     network, source = prepare_run(setup, engine_name, tracer=tracer, profile=profile)
     t1 = time.perf_counter()
@@ -350,16 +349,15 @@ def run_setup(setup: ScenarioSetup, scenario_name: str, seed: int,
 
 
 def run_scenario(scenario, events: int, seed: int,
-                 fast_path: Optional[bool] = None,
                  engine: Optional[str] = None,
                  tracer: Optional[object] = None,
                  profile: bool = False) -> ScenarioResult:
     """Build and run a registered scenario once (see
     :mod:`repro.scenarios.registry` for the catalogue).  ``engine`` selects
-    the execution engine (default ``"compiled"``)."""
+    the execution engine (default :data:`~repro.interp.engine.DEFAULT_ENGINE`)."""
     setup = scenario.build(events, seed)
-    return run_setup(setup, scenario.name, seed, fast_path=fast_path,
-                     engine=engine, tracer=tracer, profile=profile)
+    return run_setup(setup, scenario.name, seed, engine=engine,
+                     tracer=tracer, profile=profile)
 
 
 def run_scenario_engines(
@@ -395,16 +393,6 @@ def run_scenario_engines(
 
 
 def run_scenario_all_engines(scenario, events: int, seed: int) -> List[ScenarioResult]:
-    """Run a scenario on every bundled engine (reference, compiled, pisa)
+    """Run a scenario on every bundled engine (reference, pisa, codegen)
     and assert they agree; returns the results in :data:`ENGINE_NAMES` order."""
     return run_scenario_engines(scenario, events, seed, engines=ENGINE_NAMES)
-
-
-def run_scenario_both(scenario, events: int, seed: int) -> Tuple[ScenarioResult, ScenarioResult]:
-    """Run a scenario under the compiled fast path AND the tree-walking
-    reference engine; raises AssertionError if their invariant verdicts or
-    final array states differ (the differential conformance contract)."""
-    compiled, reference = run_scenario_engines(
-        scenario, events, seed, engines=("compiled", "reference")
-    )
-    return compiled, reference

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, TextIO
 
 from repro.errors import SimulationError
-from repro.interp.engine import resolve_engine_name
+from repro.interp.engine import DEFAULT_ENGINE, resolve_engine_name
 from repro.interp.network import Network
 from repro.scenarios.invariants import (
     capture_invariant_states,
@@ -70,7 +70,7 @@ UNBOUNDED_EVENTS = 10**18
 class ServiceConfig:
     """Knobs of one :class:`ScenarioService` run."""
 
-    engine: str = "compiled"
+    engine: str = DEFAULT_ENGINE
     seed: int = 1
     #: traffic events to request from the scenario builder
     #: (:data:`UNBOUNDED_EVENTS` streams until stopped)
@@ -201,7 +201,7 @@ class ScenarioService:
     # -- the loop ------------------------------------------------------------
     def run(self) -> ServiceOutcome:
         cfg = self.config
-        engine_name = resolve_engine_name(cfg.engine, None)
+        engine_name = resolve_engine_name(cfg.engine)
         cfg.engine = engine_name
         setup = self.scenario.build(cfg.events, cfg.seed)
         network, source = prepare_run(setup, engine_name)
@@ -343,7 +343,7 @@ def run_scenario_interrupted(
     completion.  The returned result must equal
     :func:`~repro.scenarios.runner.run_scenario`'s in every deterministic
     field (digest, stats, verdicts, counts, sim clock)."""
-    engine_name = resolve_engine_name(engine, None)
+    engine_name = resolve_engine_name(engine)
     if checkpoint_after is None:
         checkpoint_after = max(1, events // 2)
     config = ServiceConfig(engine=engine_name, seed=seed, events=events)

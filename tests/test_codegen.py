@@ -1,6 +1,7 @@
 """Codegen-engine specifics: generated-source shape, digest-keyed module
 sharing across switches, native coverage of the bundled applications, and
-batched-vs-stepped drain equivalence.
+equivalence of the drain's modes (heap-only or streamed, with or without a
+per-event consumer).
 
 Cross-engine *behavioural* parity (verdicts, digests, traces, fuzz corpus)
 lives in test_engines.py / test_fuzz.py — this file covers what is unique
@@ -97,17 +98,42 @@ def test_bundled_apps_lower_without_fallback(key):
 # ---------------------------------------------------------------------------
 # drain-mode equivalence
 # ---------------------------------------------------------------------------
-def test_batched_and_stepped_drains_agree():
-    """batch=False forces the plain scheduler path; both drains must leave
-    identical array state and stats on the codegen engine."""
-    def run(batch):
-        network, switch = single_switch_network(CM.source, engine="codegen")
-        network.trace_enabled = False
-        for i in range(200):
-            network.inject(
-                0, EventInstance("pkt", (i * 2654435761 % 2**32, 64)), at_ns=i * 10
-            )
-        network.run(batch=batch)
-        return network_array_digest(network), switch.stats.events_handled
+def _cm_traffic():
+    return [
+        (i * 10, 0, EventInstance("pkt", (i * 2654435761 % 2**32, 64)))
+        for i in range(200)
+    ]
 
-    assert run(batch=True) == run(batch=False)
+
+def _drain(streamed, consumer, engine="codegen"):
+    """One CM run through the drain; returns digest, stats and clock."""
+    network, switch = single_switch_network(CM.source, engine=engine)
+    network.trace_enabled = False
+    seen = []
+    if consumer:
+        network.on_handle = seen.append
+    if streamed:
+        handled = network.run(source=_cm_traffic())
+        handled += network.run()
+    else:
+        for at_ns, sid, event in _cm_traffic():
+            network.inject(sid, event, at_ns=at_ns)
+        handled = network.run()
+    if consumer:
+        assert len(seen) == handled
+    return (
+        network_array_digest(network),
+        handled,
+        switch.stats.to_dict(),
+        network.now_ns,
+    )
+
+
+def test_drain_modes_agree():
+    """Heap-only run() and streamed run(source=), each with and without an
+    on_handle consumer, leave identical array state, stats and clock on the
+    codegen engine — and match the reference engine."""
+    expected = _drain(streamed=False, consumer=True, engine="reference")
+    for streamed in (False, True):
+        for consumer in (False, True):
+            assert _drain(streamed, consumer) == expected, (streamed, consumer)

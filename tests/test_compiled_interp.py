@@ -1,10 +1,11 @@
 """Differential conformance suite for the compiled-handler fast path.
 
 Every bundled application (the ten Figure 9 programs) and the quickstart
-example program are driven through both execution engines — the tree-walking
-:class:`HandlerInterpreter` and the closure-compiling
-:class:`CompiledSwitchRuntime` — on identical deterministic event sequences,
-and the suite asserts the engines are observationally identical:
+example program are driven through both interpreting engines — the
+tree-walking :class:`HandlerInterpreter` (``reference``) and the
+source-generating :class:`CodegenSwitchRuntime` (``codegen``) — on identical
+deterministic event sequences, and the suite asserts the engines are
+observationally identical:
 
 * the full network trace (time, switch, event, and the complete
   :class:`ExecutionResult` — generated events, prints, drop/forward/flood);
@@ -24,7 +25,7 @@ import pytest
 from repro.errors import InterpError
 from repro.frontend import ast, check_program
 from repro.interp import (
-    CompiledSwitchRuntime,
+    CodegenSwitchRuntime,
     EventInstance,
     HandlerInterpreter,
     Network,
@@ -63,9 +64,9 @@ def build_events(checked, count=60, seed=0xC0FFEE):
     return events
 
 
-def run_engine(checked, fast_path, events, nswitches=1, max_events=400):
+def run_engine(checked, fast, events, nswitches=1, max_events=400):
     """Run one engine over the event sequence; return everything observable."""
-    network = Network(engine="compiled" if fast_path else "reference")
+    network = Network(engine="codegen" if fast else "reference")
     for sid in range(nswitches):
         network.add_switch(sid, checked)
     for a in range(nswitches):
@@ -115,12 +116,12 @@ def test_engines_agree_on_application(key):
 @pytest.mark.parametrize("key", sorted(ALL_APPLICATIONS))
 def test_every_application_handler_actually_compiles(key):
     """Guards against the differential suite passing vacuously: if the
-    compiler regressed into its silent tree-walker fallback, both 'engines'
-    would be the tree walker and the agreement tests above would prove
-    nothing."""
+    codegen emitter regressed into its silent tree-walker fallback, both
+    'engines' would be the tree walker and the agreement tests above would
+    prove nothing."""
     app = ALL_APPLICATIONS[key]
     checked = check_program(app.source, name=key)
-    engine = CompiledSwitchRuntime(SwitchRuntime(checked))
+    engine = CodegenSwitchRuntime(SwitchRuntime(checked))
     assert engine.fallback_handler_names == []
 
 
@@ -217,8 +218,8 @@ def _expected_op_results(a, b):
     return [str(r) for r in results]
 
 
-def _run_ops_program(fast_path, pairs):
-    network = Network(engine="compiled" if fast_path else "reference")
+def _run_ops_program(fast, pairs):
+    network = Network(engine="codegen" if fast else "reference")
     switch = network.add_switch(0, check_program(_OPS_PROGRAM))
     for i, (a, b) in enumerate(pairs):
         network.inject(0, EventInstance("e", (a, b)), at_ns=i)
@@ -263,8 +264,8 @@ handle e(int a, int b) {
 def test_hash_boundary_semantics_engines_agree():
     pairs = [(a, b) for a in BOUNDARY for b in BOUNDARY]
 
-    def run(fast_path):
-        network = Network(engine="compiled" if fast_path else "reference")
+    def run(fast):
+        network = Network(engine="codegen" if fast else "reference")
         switch = network.add_switch(0, check_program(_HASH_PROGRAM))
         for i, (a, b) in enumerate(pairs):
             network.inject(0, EventInstance("e", (a, b)), at_ns=i)
@@ -292,7 +293,7 @@ def test_hash_masks_oversized_arguments():
 # function-inlining parity
 # ---------------------------------------------------------------------------
 def test_inlined_fun_locals_reset_between_call_sites():
-    """A fun inlined at two call sites shares mangled frame slots; every
+    """A fun inlined at two call sites shares mangled locals; every
     call must reset the callee's branch-locals so the second call cannot
     observe values left behind by the first (regression test: the tree
     walker gives each call a fresh environment, so a branch-local that
@@ -315,7 +316,7 @@ def test_inlined_fun_locals_reset_between_call_sites():
     """
     checked = check_program(source)
     assert_engines_agree(checked, [(EventInstance("e", ()), 0)])
-    network = Network(engine="compiled")
+    network = Network(engine="codegen")
     switch = network.add_switch(0, checked)
     network.inject(0, EventInstance("e", ()))
     network.run()
@@ -342,7 +343,7 @@ def test_inlined_fun_repeated_calls_with_branch_locals():
 
 
 # ---------------------------------------------------------------------------
-# engine-level parity details
+# engine-level parity details ("compiled engine" = CodegenSwitchRuntime)
 # ---------------------------------------------------------------------------
 def test_compiled_engine_is_drop_in_for_handler_interpreter():
     source = """
@@ -354,17 +355,17 @@ def test_compiled_engine_is_drop_in_for_handler_interpreter():
     """
     checked = check_program(source)
     slow_rt, fast_rt = SwitchRuntime(checked), SwitchRuntime(checked)
-    slow, fast = HandlerInterpreter(slow_rt), CompiledSwitchRuntime(fast_rt)
+    slow, fast = HandlerInterpreter(slow_rt), CodegenSwitchRuntime(fast_rt)
     for engine, rt in ((slow, slow_rt), (fast, fast_rt)):
         result = engine.run(EventInstance("e", (21,)))
-        assert result.generated == [] and not result.dropped
+        assert list(result.generated) == [] and not result.dropped
         assert rt.array("t").get(0) == 42
         assert engine.call_function("double", [10]) == 20
 
 
 def test_compiled_engine_rejects_wrong_arity_like_tree_walker():
     checked = check_program("event e(int a); handle e(int a) { drop(); }")
-    fast = CompiledSwitchRuntime(SwitchRuntime(checked))
+    fast = CodegenSwitchRuntime(SwitchRuntime(checked))
     slow = HandlerInterpreter(SwitchRuntime(checked))
     for engine in (fast, slow):
         with pytest.raises(InterpError):
@@ -373,16 +374,16 @@ def test_compiled_engine_rejects_wrong_arity_like_tree_walker():
 
 def test_compiled_engine_ignores_events_without_handlers():
     checked = check_program("event e(int a); handle e(int a) { drop(); }")
-    fast = CompiledSwitchRuntime(SwitchRuntime(checked))
+    fast = CodegenSwitchRuntime(SwitchRuntime(checked))
     result = fast.run(EventInstance("unknown", (1,)))
-    assert result.generated == [] and not result.dropped
+    assert list(result.generated) == [] and not result.dropped
 
 
 def test_compiled_engine_sees_late_bound_externs():
     source = "extern fun int probe(int v); event e(int v); handle e(int v) { int x = probe(v); printf(x); }"
-    network = Network(engine="compiled")
+    network = Network(engine="codegen")
     switch = network.add_switch(0, source)
-    # bind AFTER the handlers were compiled: the fast path must pick it up
+    # bind AFTER the handlers were generated: the fast path must pick it up
     switch.bind_extern("probe", lambda v: v * 3)
     network.inject(0, EventInstance("e", (14,)))
     network.run()

@@ -2,8 +2,6 @@
 determinism, unparse round-tripping, the differential runner's observables,
 the shrinker's contract, and the ``python -m repro.fuzz`` CLI."""
 
-import warnings
-
 import pytest
 
 from repro.frontend.parser import parse_program
@@ -13,7 +11,7 @@ from repro.fuzz.case import FuzzCase, load_case, save_case
 from repro.fuzz.diff import run_case, run_differential
 from repro.fuzz.gen import CaseGenerator
 from repro.fuzz.shrink import shrink_case
-from repro.interp.network import Network, single_switch_network
+from repro.interp.network import single_switch_network
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +133,9 @@ def test_checkpoint_differential_split_positions_are_all_safe():
     from repro.fuzz.diff import run_case, run_case_checkpointed
 
     case = FuzzCase(source=COUNTER, events=[(0, 0, "tick", (1, 4))])
-    base = run_case(case, "compiled")
+    base = run_case(case, "codegen")
     for split in (0, 1, 3, 10_000):
-        ck = run_case_checkpointed(case, "compiled", split=split)
+        ck = run_case_checkpointed(case, "codegen", split=split)
         assert ck.error is None, ck.error
         assert ck.digest == base.digest
         assert ck.trace == base.trace
@@ -173,8 +171,8 @@ def test_shrink_preserves_real_divergence_semantics(tmp_path):
     loaded = load_case(str(path))
     assert loaded.source == case.source
     assert loaded.events == case.events
-    before = run_case(case, "compiled")
-    after = run_case(loaded, "compiled")
+    before = run_case(case, "codegen")
+    after = run_case(loaded, "codegen")
     assert before.digest == after.digest
     assert before.trace == after.trace
 
@@ -212,7 +210,7 @@ handle div(int a, int b, int hops) {
 """
 
 
-@pytest.mark.parametrize("engine", ["reference", "compiled", "pisa"])
+@pytest.mark.parametrize("engine", ["reference", "codegen", "pisa"])
 @pytest.mark.parametrize("a,b", [(10, 3), (10, 0), (0, 0), (0xFFFFFFFF, 7)])
 def test_division_by_zero_is_total_on_every_engine(engine, a, b):
     from repro.interp.events import EventInstance
@@ -225,66 +223,79 @@ def test_division_by_zero_is_total_on_every_engine(engine, a, b):
     assert switch.array("rem").cells[0] == mod32(a, b)
 
 
-def test_no_raw_division_in_engine_value_paths():
-    """Audit: engine execution must route '/' and '%' through div32/mod32.
+def _operand_end(tokens, j):
+    """Index just past the balanced parenthesised operand starting at j."""
+    depth = 0
+    for k in range(j, len(tokens)):
+        depth += {"(": 1, ")": -1}.get(tokens[k].string, 0)
+        if depth == 0:
+            return k + 1
+    return len(tokens)
 
-    Tokenises the two value-path modules and rejects any '//' operator and
-    any '%' operator that is not string formatting (a '%' whose left operand
-    is a string literal)."""
+
+def _raw_division_sites(name, text, emitted):
+    """Every '//' and '%' operator token of ``text`` that is not total.
+
+    A '%' whose left operand is a string literal is string formatting.  In
+    ``emitted`` (generated handler) source two more forms are total: a
+    non-zero integer literal divisor (the index wrap into a fixed-size
+    array), and the zero guard ``((a) // (b)) if (b) else 0`` that Lucid
+    '/' and '%' lower to."""
     import io
-    import os
     import tokenize
 
-    import repro.interp.compiled as compiled_mod
-    import repro.pisa.pipeline as pipeline_mod
-
-    for module in (compiled_mod, pipeline_mod):
-        path = module.__file__
-        with open(path, "rb") as fh:
-            tokens = list(tokenize.tokenize(fh.readline))
-        for i, tok in enumerate(tokens):
-            if tok.type != tokenize.OP:
+    tokens = [
+        tok for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+        if tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT)
+    ]
+    sites = []
+    for i, tok in enumerate(tokens):
+        if tok.type != tokenize.OP or tok.string not in ("//", "//=", "%", "%="):
+            continue
+        if tok.string.startswith("%") and tokens[i - 1].type == tokenize.STRING:
+            continue
+        if emitted:
+            j = i + 1
+            while tokens[j].string == "(":
+                j += 1
+            if tokens[j].type == tokenize.NUMBER and int(tokens[j].string, 0) != 0:
                 continue
-            assert tok.string not in ("//", "//="), (
-                f"raw floor division in {os.path.basename(path)}:{tok.start[0]}"
+            end = _operand_end(tokens, i + 1)
+            divisor = [t.string for t in tokens[i + 1:end]]
+            guard = [t.string for t in tokens[end:end + len(divisor) + 4]]
+            if divisor and guard == [")", "if"] + divisor + ["else", "0"]:
+                continue
+        sites.append(f"raw {tok.string} in {name}:{tok.start[0]}")
+    return sites
+
+
+def test_no_raw_division_in_engine_value_paths():
+    """Audit: engine execution must route '/' and '%' through div32/mod32
+    (or the emitted zero-guarded form of the same operation).
+
+    Tokenises the codegen engine and the PISA pipeline executor, plus the
+    Python source the codegen engine emits for every bundled application,
+    and rejects any '//' operator and any '%' operator that is not string
+    formatting (emitted source may also use the zero-guarded forms, see
+    :func:`_raw_division_sites`)."""
+    import os
+
+    import repro.interp.codegen as codegen_mod
+    import repro.pisa.pipeline as pipeline_mod
+    from repro.apps import ALL_APPLICATIONS
+    from repro.interp.codegen import dump_program_source
+
+    sites = []
+    for module in (codegen_mod, pipeline_mod):
+        with open(module.__file__) as fh:
+            sites += _raw_division_sites(
+                os.path.basename(module.__file__), fh.read(), emitted=False
             )
-            if tok.string in ("%", "%="):
-                prev = tokens[i - 1]
-                assert prev.type == tokenize.STRING, (
-                    f"raw modulo in {os.path.basename(path)}:{tok.start[0]}"
-                )
-
-
-# ---------------------------------------------------------------------------
-# fast_path= deprecation contract (one warning per call site, exact mapping)
-# ---------------------------------------------------------------------------
-def test_fast_path_alias_warns_exactly_once_per_call_site():
-    source = "event e(); handle e() {}"
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        network = Network(fast_path=True)
-    assert [w for w in record if w.category is DeprecationWarning]
-    assert len(record) == 1
-    assert network.engine == "compiled"
-
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        switch = network.add_switch(0, source, fast_path=False)
-    assert len(record) == 1
-    assert record[0].category is DeprecationWarning
-    assert switch.engine_name == "reference"
-
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        network2, switch2 = single_switch_network(source, fast_path=True)
-    assert len(record) == 1
-    assert record[0].category is DeprecationWarning
-    assert network2.engine == "compiled"
-    assert switch2.engine_name == "compiled"
-
-    # the non-deprecated path emits no warning at all
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        Network(engine="pisa")
-        network.add_switch(1, source, engine="reference")
-    assert record == []
+    programs = {key: app.source for key, app in ALL_APPLICATIONS.items()}
+    # no bundled application divides: DIV_PROGRAM exercises the Lucid '/'
+    # and '%' lowering
+    programs["DIV_PROGRAM"] = DIV_PROGRAM
+    for key, source in sorted(programs.items()):
+        emitted = dump_program_source(check_program(source, name=key))
+        sites += _raw_division_sites(f"<codegen {key}>", emitted, emitted=True)
+    assert sites == []
