@@ -33,7 +33,8 @@ from repro.interp.engine import SwitchEngine
 from repro.interp.events import LOCAL, EventInstance
 from repro.interp.network import Network
 from repro.obs import disable, enable
-from repro.scenarios import SCENARIOS, run_scenario
+from repro.scenarios import SCENARIOS
+from repro.scenarios.runner import build_result, prepare_run, settle_horizon
 
 DEFAULT_SCENARIO = "heavy-hitter-single"
 DEFAULT_EVENTS = 8_000
@@ -122,7 +123,21 @@ class _BaselinePatch:
 
 
 def _eps(scenario, events: int, seed: int, engine: str) -> float:
-    result = run_scenario(scenario, events, seed, engine=engine)
+    """Events/sec of the drain + settle alone: the traffic stream is
+    materialised before the clock starts, so generation cost (which the
+    scenario runner's end-to-end rate includes) cannot dilute the
+    scheduler-overhead comparison."""
+    setup = scenario.build(events, seed)
+    network, source = prepare_run(setup, engine)
+    items = list(source)
+    start = time.perf_counter()
+    handled = network.run(source=items)
+    handled += network.run(until_ns=settle_horizon(setup, network, source))
+    wall = time.perf_counter() - start
+    result = build_result(
+        setup, scenario.name, seed, engine, network,
+        events_injected=source.injected, events_handled=handled, wall_s=wall,
+    )
     if not result.ok:
         raise AssertionError(f"scenario failed under {engine}: {result.invariants}")
     return result.events_per_sec

@@ -16,7 +16,9 @@ engine — the tree-walking reference interpreter, the PISA pipeline
 executor, and the source-codegen engine) with identical traffic (same
 seed).  The JSON report ``BENCH_engines.json`` records events/sec per
 engine per scenario plus the PISA pipeline totals (stages occupied,
-recirculation passes, queue depths).  Any invariant violation or
+recirculation passes, queue depths).  Events/sec is end to end: handled
+events over traffic generation + drain + settle, since the runner streams
+the traffic through the drain.  Any invariant violation or
 cross-engine verdict/digest mismatch
 fails the run.  ``--smoke`` runs two scenarios with small counts — cheap
 enough for CI.
@@ -25,6 +27,7 @@ enough for CI.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -155,6 +158,8 @@ def main(argv=None) -> int:
         write_report(
             args.engines_out, "scenario-engines", ",".join(engines), wall_s, rows,
             events_per_scenario=events, seed=args.seed, engines=engines,
+            eps_measures="traffic generation + drain + settle",
+            host_cpus=os.cpu_count(),
         )
 
     bad = [r["scenario"] for r in rows if not (r["ok"] and r["engines_agree"])]

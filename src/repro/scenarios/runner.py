@@ -6,10 +6,10 @@ the hardware substrate.
 
 The scenario's traffic factory yields a lazy, time-ordered stream that is
 merged with the simulator's internal event heap (:meth:`Network.run` with
-``source=``).  The batch runner materialises that stream up front so the
-timed region measures the engine alone (``traffic_s`` records the
-generation cost separately); the service mode keeps streaming lazily, since
-its checkpoints serialise the cursor, not the buffer.  After the stream is
+``source=``).  Both the batch runner and the service mode pull it lazily
+through a :class:`~repro.service.source.ReplayableSource` cursor, so a run
+holds O(1) traffic state whatever its length, and the batch runner's timed
+region covers generation, drain and settle alike.  After the stream is
 exhausted the network is drained for ``settle_ns`` more simulated time so
 in-flight control events (cuckoo installs, sync updates, advertisement
 rounds) complete before invariants are checked — self-perpetuating control
@@ -65,7 +65,11 @@ class ScenarioResult:
     events_injected: int
     events_handled: int
     sim_ns: int
+    #: wall time of the drain + settle; in-process runs pull the traffic
+    #: stream lazily during the drain, so this includes its generation
     wall_s: float
+    #: ``events_handled / wall_s`` — end to end, traffic generation included
+    #: for in-process runs
     events_per_sec: float
     invariants: List[InvariantReport]
     #: per-switch summary counters (includes the engine name and, for
@@ -76,9 +80,9 @@ class ScenarioResult:
     #: wall time spent building the network + compiling handlers + preloading
     #: state (everything before the first event) — excluded from ``wall_s``
     setup_s: float = 0.0
-    #: wall time spent generating the traffic workload — excluded from
-    #: ``wall_s`` so ``events_per_sec`` measures the engines, not the
-    #: traffic models
+    #: wall time spent scanning the traffic stream before the drain — the
+    #: shard coordinator's partitioning scan; 0 for in-process runs, whose
+    #: traffic is generated inside ``wall_s``
     traffic_s: float = 0.0
     details: Dict[str, object] = field(default_factory=dict)
     #: network-wide pipeline totals (stage occupancy, recirculated events,
@@ -165,12 +169,6 @@ class ScenarioResult:
             pipeline_totals=dict(state.get("pipeline") or {}),
             profile=dict(state.get("profile") or {}),
         )
-
-
-#: the runner's source wrapper is the service-mode replayable cursor (the
-#: old name is kept as an alias); it still counts injected events and the
-#: last timestamp without buffering anything
-_SourceTracker = ReplayableSource
 
 
 def network_array_digest(network: Network) -> str:
@@ -327,24 +325,23 @@ def run_setup(setup: ScenarioSetup, scenario_name: str, seed: int,
     ``tracer`` / ``profile`` attach observability hooks — see
     :func:`prepare_run`.
 
-    Wall time is split three ways so ``events_per_sec`` measures the engine
-    rather than everything around it: ``setup_s`` (network construction +
-    handler compilation + preload), ``traffic_s`` (workload generation —
-    the traffic stream is materialised through the replayable cursor before
-    the clock starts), and ``wall_s`` (the drain + settle only)."""
+    The traffic stream is never materialised: the drain pulls it one item
+    at a time through the replayable cursor, so memory stays independent of
+    the event count.  Wall time is split in two: ``setup_s`` (network
+    construction + handler compilation + preload) and ``wall_s`` (traffic
+    generation + drain + settle), so ``events_per_sec`` is the end-to-end
+    rate; ``traffic_s`` stays 0."""
     engine_name = resolve_engine_name(engine)
     t0 = time.perf_counter()
     network, source = prepare_run(setup, engine_name, tracer=tracer, profile=profile)
-    t1 = time.perf_counter()
-    items = list(source)
     start = time.perf_counter()
-    handled = network.run(source=items)
+    handled = network.run(source=source)
     handled += network.run(until_ns=settle_horizon(setup, network, source))
     wall = time.perf_counter() - start
     return build_result(
         setup, scenario_name, seed, engine_name, network,
         events_injected=source.injected, events_handled=handled, wall_s=wall,
-        setup_s=t1 - t0, traffic_s=start - t1,
+        setup_s=start - t0,
     )
 
 

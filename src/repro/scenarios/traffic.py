@@ -18,6 +18,7 @@ import heapq
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from math import log
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.interp.events import EventInstance
@@ -86,26 +87,23 @@ def link_failure_actions(
         yield heapq.heappop(pending)[2]
 
 
-class _ZipfSampler:
-    """Discrete power-law sampler over ``n`` ranks: P(rank i) ~ 1/(i+1)^alpha.
+def _zipf_cumulative(n: int, alpha: float) -> List[float]:
+    """Cumulative table of a discrete power law over ``n`` ranks,
+    P(rank i) ~ 1/(i+1)^alpha: ``bisect_left(table, u)`` maps a uniform
+    ``u`` in [0, 1) to a rank.
 
-    O(n) memory for the cumulative table, O(log n) per draw — independent of
-    how many samples are drawn.
+    O(n) memory, O(log n) per draw — independent of how many samples are
+    drawn.
     """
-
-    def __init__(self, n: int, alpha: float):
-        weights = [1.0 / (i + 1) ** alpha for i in range(n)]
-        total = sum(weights)
-        cumulative = []
-        acc = 0.0
-        for w in weights:
-            acc += w / total
-            cumulative.append(acc)
-        cumulative[-1] = 1.0
-        self._cumulative = cumulative
-
-    def sample(self, rng: random.Random) -> int:
-        return bisect_left(self._cumulative, rng.random())
+    weights = [1.0 / (i + 1) ** alpha for i in range(n)]
+    total = sum(weights)
+    cumulative = []
+    acc = 0.0
+    for w in weights:
+        acc += w / total
+        cumulative.append(acc)
+    cumulative[-1] = 1.0
+    return cumulative
 
 
 @dataclass
@@ -138,23 +136,30 @@ class ZipfPacketTraffic:
     def events(
         self, edge: Sequence[int], count: int, seed: int
     ) -> Iterator[SourceItem]:
-        sampler = _ZipfSampler(self.hosts, self.alpha)
-        rng = random.Random(seed)
-        self.emitted.clear()
+        cumulative = _zipf_cumulative(self.hosts, self.alpha)
+        # per-rank work done once: the loop only indexes these tables
+        args_of = [
+            self.flow_for_rank(rank) + self.extra_args for rank in range(self.hosts)
+        ]
+        tracked = [self.flow_for_rank(rank) for rank in range(self.track_top)]
+        draw = random.Random(seed).random
+        lambd = 1.0 / self.mean_gap_ns
+        name = self.event_name
+        track_top = self.track_top
+        emitted = self.emitted
+        emitted.clear()
+        width = len(edge)
         now = 0.0
         for i in range(count):
-            now += rng.expovariate(1.0 / self.mean_gap_ns)
-            rank = sampler.sample(rng)
-            src, dst = self.flow_for_rank(rank)
-            switch = edge[i % len(edge)]
-            if rank < self.track_top:
-                per_switch = self.emitted.setdefault(switch, {})
-                per_switch[(src, dst)] = per_switch.get((src, dst), 0) + 1
-            yield (
-                int(now),
-                switch,
-                EventInstance(self.event_name, (src, dst) + self.extra_args),
-            )
+            # random.expovariate(lambd) inlined: same draw, same rounding
+            now += -log(1.0 - draw()) / lambd
+            rank = bisect_left(cumulative, draw())
+            switch = edge[i % width]
+            if rank < track_top:
+                flow = tracked[rank]
+                per_switch = emitted.setdefault(switch, {})
+                per_switch[flow] = per_switch.get(flow, 0) + 1
+            yield (int(now), switch, EventInstance(name, args_of[rank]))
 
 
 @dataclass

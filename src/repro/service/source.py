@@ -37,10 +37,13 @@ class ReplayableSource:
     :meth:`skip`-based replay) or a bare iterable (counting only).
 
     Counters: ``consumed`` is every item yielded (including CONTROL
-    actions), ``injected`` counts only events, ``last_ns`` is the largest
-    timestamp seen.  An item returned via :meth:`push_back` is *uncounted*
-    by :meth:`cursor` until it is pulled again, so a checkpoint taken while
-    the simulator holds a pending item replays that item on resume.
+    actions), ``injected`` counts only events, ``last_ns`` is the timestamp
+    of the latest item (the stream is time-ordered).  Per item the cursor
+    keeps only ``consumed``, the CONTROL count and the last two items; the
+    other counters are derived from them.  An item returned via
+    :meth:`push_back` is *uncounted* by :meth:`cursor` until it is pulled
+    again, so a checkpoint taken while the simulator holds a pending item
+    replays that item on resume.
     """
 
     def __init__(self, source: Union[Callable[[], Iterable[SourceItem]], Iterable[SourceItem]]):
@@ -50,13 +53,16 @@ class ReplayableSource:
         else:
             self._factory = None
             self._items = iter(source)
-        self.consumed = 0
-        self.injected = 0
-        self.last_ns = 0
         self._pushed_back: Optional[SourceItem] = None
-        #: counters before the most recent pull — the one-step undo that
-        #: lets cursor() exclude a pushed-back item
-        self._prev = (0, 0, 0)
+        self._zero()
+
+    def _zero(self) -> None:
+        self.consumed = 0
+        self._controls = 0
+        self._last: Optional[SourceItem] = None
+        #: the item pulled before ``_last`` — the one-step undo that lets
+        #: cursor() exclude a pushed-back item
+        self._prev: Optional[SourceItem] = None
         self._stopped = False
 
     # -- iteration -----------------------------------------------------------
@@ -72,16 +78,22 @@ class ReplayableSource:
         except StopIteration:
             self._stopped = True
             raise
-        self._count(item)
+        self.consumed += 1
+        self._prev = self._last
+        self._last = item
+        if item[1] == CONTROL:
+            self._controls += 1
         return item
 
-    def _count(self, item: SourceItem) -> None:
-        self._prev = (self.consumed, self.injected, self.last_ns)
-        self.consumed += 1
-        if item[1] != CONTROL:
-            self.injected += 1
-        if item[0] > self.last_ns:
-            self.last_ns = item[0]
+    @property
+    def injected(self) -> int:
+        """Events (non-CONTROL items) pulled so far."""
+        return self.consumed - self._controls
+
+    @property
+    def last_ns(self) -> int:
+        """Timestamp of the latest pulled item (0 before the first)."""
+        return 0 if self._last is None else self._last[0]
 
     # -- simulator hooks -----------------------------------------------------
     def push_back(self, item: SourceItem) -> None:
@@ -100,12 +112,8 @@ class ReplayableSource:
                 "it from a zero-arg factory to make it replayable"
             )
         self._items = iter(self._factory())
-        self.consumed = 0
-        self.injected = 0
-        self.last_ns = 0
-        self._prev = (0, 0, 0)
         self._pushed_back = None
-        self._stopped = False
+        self._zero()
 
     # -- cursor --------------------------------------------------------------
     def peek(self) -> Optional[SourceItem]:
@@ -129,11 +137,18 @@ class ReplayableSource:
         :meth:`skip` on a freshly built source to reach the same point.
         ``injected``/``last_ns`` are recorded for replay validation.  A
         pushed-back (pulled but undelivered) item is excluded."""
-        if self._pushed_back is not None:
-            consumed, injected, last_ns = self._prev
-        else:
-            consumed, injected, last_ns = self.consumed, self.injected, self.last_ns
-        return {"consumed": consumed, "injected": injected, "last_ns": last_ns}
+        consumed, injected, last = self.consumed, self.injected, self._last
+        held = self._pushed_back
+        if held is not None:
+            consumed -= 1
+            if held[1] != CONTROL:
+                injected -= 1
+            last = self._prev
+        return {
+            "consumed": consumed,
+            "injected": injected,
+            "last_ns": 0 if last is None else last[0],
+        }
 
     def skip(self, count: int) -> "ReplayableSource":
         """Advance a *fresh* source past ``count`` items without delivering
@@ -145,12 +160,11 @@ class ReplayableSource:
             raise SimulationError("skip() requires a freshly built source")
         for _ in range(count):
             try:
-                item = next(self._items)
+                next(self)
             except StopIteration:
                 raise SimulationError(
                     f"source ended after {self.consumed} items while replaying "
                     f"a cursor of {count}: the traffic stream differs from the "
                     f"one that was checkpointed"
                 ) from None
-            self._count(item)
         return self

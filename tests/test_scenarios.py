@@ -5,6 +5,10 @@ the CLI.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+import zlib
 
 import pytest
 
@@ -492,6 +496,63 @@ def test_scenario_traffic_factories_are_lazy():
         assert not isinstance(source, (list, tuple)), name
         first = list(itertools.islice(iter(source), 3))
         assert len(first) == 3, name
+
+
+def _traffic_fingerprint(name: str, items: int, seed: int) -> str:
+    """CRC32 chained over ``repr((t, switch, name, args))`` of the first
+    ``items`` traffic items of a scenario."""
+    setup = SCENARIOS[name].build(items, seed)
+    crc = 0
+    for t, sw, ev in itertools.islice(setup.traffic(), items):
+        crc = zlib.crc32(repr((t, sw, ev.name, ev.args)).encode(), crc)
+    return f"{crc:08x}"
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("heavy-hitter-fattree8", "986ca482"),
+    ("heavy-hitter-single", "b818eeda"),
+])
+def test_zipf_traffic_is_bit_identical(name, expected):
+    """The Zipf generator's stream is pinned bit for bit: a cheaper
+    generator must reproduce the same draws, flows and timestamps."""
+    assert _traffic_fingerprint(name, 20_000, seed=1) == expected
+
+
+def test_zipf_traffic_ground_truth_is_pinned():
+    setup = SCENARIOS["heavy-hitter-single"].build(20_000, 1)
+    list(setup.traffic())
+    (sketch,) = [inv for inv in setup.invariants if inv.name == "sketch-overestimates"]
+    assert sketch.traffic.emitted[0] == {
+        (1, 7): 4880, (276, 172): 962, (355, 117): 1225, (434, 62): 2013,
+    }
+
+
+_PEAK_RSS_PROBE = """
+import resource, sys
+from repro.scenarios import SCENARIOS, run_scenario
+result = run_scenario(SCENARIOS["heavy-hitter-fattree8"], int(sys.argv[1]), 1)
+assert result.ok and result.events_injected == int(sys.argv[1])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_streamed_run_memory_is_bounded():
+    """The batch runner streams its traffic: peak RSS of a run does not
+    grow with the event count (8x the events, < 8 MiB more memory)."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+
+    def peak_kib(events: int) -> int:
+        out = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_PROBE, str(events)],
+            env=env, cwd=repo, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        return int(out.stdout.split()[-1])
+
+    small, large = peak_kib(30_000), peak_kib(240_000)
+    assert large - small < 8 * 1024, (small, large)
 
 
 def test_scan_burst_is_detected_as_unsolicited():

@@ -290,6 +290,37 @@ def test_replayable_source_control_items_not_injected():
     assert src.exhausted
 
 
+def test_replayable_source_pushed_back_control_keeps_injected():
+    def stream():
+        yield (0, 0, EventInstance("pkt", (0, 0)))
+        yield (5, CONTROL, lambda net: None)
+        yield (9, 0, EventInstance("pkt", (1, 0)))
+
+    src = ReplayableSource(stream)
+    next(src)
+    held = next(src)
+    assert held[1] == CONTROL
+    pulled = src.cursor()
+    assert pulled == {"consumed": 2, "injected": 1, "last_ns": 5}
+    src.push_back(held)
+    # a held CONTROL leaves the event count alone; only the position drops
+    assert src.cursor() == {"consumed": 1, "injected": 1, "last_ns": 0}
+    assert next(src) is held
+    assert src.cursor() == pulled
+
+
+def test_replayable_source_held_item_last_ns_is_previous_time():
+    """With strictly increasing times, excluding the held item rolls
+    ``last_ns`` back to exactly the previous item's timestamp."""
+    src = ReplayableSource(lambda: _plain_stream(10))
+    pulled = [next(src) for _ in range(4)]
+    src.push_back(pulled[-1])
+    assert src.cursor()["last_ns"] == pulled[-2][0] == 2_000
+    held_first = ReplayableSource(lambda: _plain_stream(10))
+    held_first.push_back(next(held_first))
+    assert held_first.cursor() == {"consumed": 0, "injected": 0, "last_ns": 0}
+
+
 def test_replayable_source_errors():
     bare = ReplayableSource(_plain_stream(3))
     with pytest.raises(SimulationError, match="cannot rewind"):
