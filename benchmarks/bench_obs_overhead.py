@@ -25,11 +25,11 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
+import heapq
 import sys
 import time
 
 from bench_common import write_report
-from repro.interp.engine import SwitchEngine
 from repro.interp.events import LOCAL, EventInstance
 from repro.interp.network import Network
 from repro.obs import disable, enable
@@ -48,53 +48,61 @@ MAX_DISABLED_OVERHEAD = 0.05
 # choice it feeds) stripped
 # ---------------------------------------------------------------------------
 def _baseline_schedule_generated(self, source, event, trace_parent=None):
-    source.stats.events_generated += 1
-    for target in event.targets(source.id):
-        if target == source.id:
-            if not source.engine.admit_recirculation(event):
-                source.stats.recirc_drops += 1
+    stats = source.stats
+    stats.events_generated += 1
+    origin = source.id
+    group = event.group
+    if group is None:
+        location = event.location
+        group = (origin if location == LOCAL else location,)
+    config = self.config
+    delay_ns = event.delay_ns
+    use_queue = config.use_delay_queue
+    if delay_ns > 0 and use_queue:
+        interval = config.delay_release_interval_ns
+        delay = -(-delay_ns // interval) * interval
+    else:
+        delay = max(0, delay_ns)
+    now = self.now_ns
+    remote_ns = now + config.pipeline_latency_ns + delay
+    seq = source.origin_seq
+    owned = self._shard_owned
+    queue = self._queue
+    for target in group:
+        if target == origin:
+            admit = source._admit
+            if admit is not None and not admit(event):
+                stats.recirc_drops += 1
                 continue
-            delay = self._delay_after_queue(event.delay_ns)
-            arrival = self.now_ns + self.config.recirculation_latency_ns + delay
-            recirc_passes = 1
-            if event.delay_ns > 0 and not self.config.use_delay_queue:
-                recirc_passes += max(
-                    0, event.delay_ns // max(1, self.config.recirculation_latency_ns)
-                )
-            source.stats.recirculations += recirc_passes
-            source.stats.recirculated_bytes += recirc_passes * event.payload_bytes()
-            source.engine.on_recirculate(event)
+            recirc_ns = config.recirculation_latency_ns
+            arrival = now + recirc_ns + delay
+            passes = 1
+            if delay_ns > 0 and not use_queue:
+                passes += delay_ns // max(1, recirc_ns)
+            nbytes = passes * event.payload_bytes()
+            stats.recirculations += passes
+            stats.recirculated_bytes += nbytes
+            if source._on_recirculate is not None:
+                source._on_recirculate(event)
         else:
-            if (source.id, target) in self._down_links:
-                source.stats.link_drops += 1
+            pair = (origin, target)
+            if pair in self._down_links:
+                stats.link_drops += 1
                 continue
-            source.stats.remote_sends += 1
-            arrival = (
-                self.now_ns
-                + self.config.pipeline_latency_ns
-                + self.link_latency(source.id, target)
-                + self._delay_after_queue(event.delay_ns)
-            )
-        delivered = EventInstance(
-            name=event.name,
-            args=event.args,
-            delay_ns=0,
-            location=LOCAL,
-            group=None,
-            source=source.id,
-            trace_parent=trace_parent,
-        )
-        source.origin_seq += 1
-        self._push(arrival, target, delivered, source._key_base | source.origin_seq)
+            stats.remote_sends += 1
+            arrival = remote_ns + self.links.get(pair, config.link_latency_ns)
+        seq += 1
+        key = source._key_base | seq
+        delivered = EventInstance(event.name, event.args, 0, LOCAL, None, origin, trace_parent)
+        if owned is not None and target not in owned:
+            self._shard_export(arrival, key, target, delivered)
+        else:
+            heapq.heappush(queue, (arrival, key, target, delivered))
+    source.origin_seq = seq
 
 
 def _baseline_switch_entry(self, switch):
     engine = switch.engine
-    hook = (
-        engine.on_recirc_arrival
-        if type(engine).on_recirc_arrival is not SwitchEngine.on_recirc_arrival
-        else None
-    )
     return (
         switch,
         switch.runtime,
@@ -102,7 +110,7 @@ def _baseline_switch_entry(self, switch):
         switch.stats,
         switch.stats.handled_by_event,
         switch.log,
-        hook,
+        switch._on_recirc_arrival,
     )
 
 

@@ -18,10 +18,10 @@ per-switch handler functions closing over those bindings.
 
 Semantics are pinned to the tree walker: identical results, identical error
 strings raised at the same evaluation points, identical array read/write
-counter increments, identical RNG and event-serial consumption order.  Any
-handler the emitter cannot lower falls back to the tree walker; the
-differential suites in ``tests/test_compiled_interp.py``,
-``tests/test_engines.py`` and ``repro.fuzz`` pin the parity.
+counter increments, identical RNG consumption order.  Any handler the
+emitter cannot lower falls back to the tree walker; the differential suites
+in ``tests/test_compiled_interp.py``, ``tests/test_engines.py`` and
+``repro.fuzz`` pin the parity.
 
 Use ``repro.scenarios --engine codegen --dump-source`` (or
 :func:`dump_program_source`) to inspect the generated text.
@@ -831,12 +831,14 @@ class HandlerSourceCompiler:
             return (t, True)
         parts = self._parts([e.left, e.right], env)
         (ls, lsafe), (rs, rsafe) = parts
-        if op in (ast.BinOp.DIV, ast.BinOp.MOD) and not self._is_atom(rs):
-            # the guarded template duplicates the divisor; hoist it (and the
-            # dividend first, to keep evaluation order) when not trivial
+        if op in (ast.BinOp.DIV, ast.BinOp.MOD):
+            # the guarded template skips the dividend when the divisor is 0
+            # and duplicates the divisor: hoist an unsafe dividend (its
+            # effects must happen anyway), then a non-trivial divisor
             if not lsafe:
                 ls, lsafe = self._to_temp(ls), True
-            rs, rsafe = self._to_temp(rs), True
+            if not self._is_atom(rs):
+                rs, rsafe = self._to_temp(rs), True
         return (_binop_template(op, ls, rs), lsafe and rsafe)
 
     def _cond(self, e: ast.Expr, env: _Env) -> Tuple[str, bool]:
@@ -881,7 +883,7 @@ class HandlerSourceCompiler:
         else:
             tup = "()"
         # EventInstance(name, args, delay_ns=0, location=LOCAL, group=None,
-        # source=SELF); unsafe: allocation consumes the global serial counter
+        # source=SELF); unsafe: each evaluation allocates a distinct event
         return (f"_EV({name!r}, {tup}, 0, -1, None, {self._bind('self')})", False)
 
     def _call(self, e: ast.ECall, env: _Env) -> Tuple[str, bool]:

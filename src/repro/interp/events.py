@@ -14,21 +14,17 @@ costs ~6x more per instance than a plain slotted class.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Tuple, Union
 
 #: sentinel location meaning "the switch that generated the event"
 LOCAL = -1
-
-_serial = itertools.count()
 
 
 class EventInstance:
     """A concrete event awaiting (or undergoing) handling.
 
     Two events are equal iff name, data, time, place, and source agree —
-    regardless of when they were allocated (``serial``) or which dispatch
-    generated them (``trace_parent``).
+    regardless of which dispatch generated them (``trace_parent``).
     """
 
     __slots__ = (
@@ -39,7 +35,6 @@ class EventInstance:
         "group",
         "source",
         "trace_parent",
-        "serial",
     )
 
     def __init__(
@@ -51,7 +46,6 @@ class EventInstance:
         group: Optional[Tuple[int, ...]] = None,
         source: Optional[int] = None,
         trace_parent: Optional[int] = None,
-        serial: Optional[int] = None,
     ) -> None:
         self.name = name
         self.args = args
@@ -65,15 +59,12 @@ class EventInstance:
         #: never part of the event's value, never serialised into checkpoints
         #: (tracing is for bounded runs, checkpoints for trace-free long ones)
         self.trace_parent = trace_parent
-        #: monotonically increasing id used for deterministic tie-breaking;
-        #: not part of the event's value
-        self.serial = next(_serial) if serial is None else serial
 
     def __repr__(self) -> str:
         return (
             f"EventInstance(name={self.name!r}, args={self.args!r}, "
             f"delay_ns={self.delay_ns!r}, location={self.location!r}, "
-            f"group={self.group!r}, source={self.source!r}, serial={self.serial!r})"
+            f"group={self.group!r}, source={self.source!r})"
         )
 
     def __eq__(self, other: object) -> bool:
@@ -150,9 +141,9 @@ class EventInstance:
 
     # -- serialisation -------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable value form (everything except ``serial``, which
-        is allocation order, not part of the event's value) — the wire format
-        of checkpoints (:meth:`repro.interp.network.Network.snapshot`)."""
+        """JSON-serialisable value form (everything except ``trace_parent``,
+        which is not part of the event's value) — the wire format of
+        checkpoints (:meth:`repro.interp.network.Network.snapshot`)."""
         return {
             "name": self.name,
             "args": list(self.args),

@@ -22,6 +22,10 @@ runs.  The callable that runs one event on a switch is chosen once per
 switch when the loop starts, and again after every CONTROL action: the
 engine's obs-free ``run_fast`` while nothing observes dispatches, otherwise
 a wrapper that feeds the tracer, the handler profiler and the obs metrics.
+Generated events take one scheduling path
+(:meth:`Network._schedule_generated`): straight onto the heap, or to the
+shard export callback, calling an engine's recirculation hooks only where
+it overrides them (see :class:`Switch`).
 """
 
 from __future__ import annotations
@@ -191,6 +195,14 @@ class Switch:
         #: of their deterministic heap keys (see the _QueuedEvent comment)
         self.origin_seq = 0
         self._key_base = (switch_id + 1) << GEN_KEY_SHIFT
+        #: the engine's scheduler hooks, each None while the engine keeps the
+        #: no-op base method, so the scheduler skips the call altogether
+        self._admit, self._on_recirculate, self._on_recirc_arrival = (
+            getattr(self.engine, hook)
+            if getattr(type(self.engine), hook) is not getattr(SwitchEngine, hook)
+            else None
+            for hook in ("admit_recirculation", "on_recirculate", "on_recirc_arrival")
+        )
 
     def array(self, name: str):
         return self.runtime.array(name)
@@ -244,7 +256,7 @@ SNAPSHOT_FORMAT = "repro-network-snapshot"
 SNAPSHOT_VERSION = 2
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEntry:
     """One handled event, for test assertions and latency measurements."""
 
@@ -367,25 +379,14 @@ class Network:
             raise SimulationError(f"no switch with id {switch_id}") from None
 
     # -- scheduling -------------------------------------------------------------
-    def _push(
-        self,
-        time_ns: int,
-        switch_id: int,
-        event: EventInstance,
-        key: Optional[int] = None,
-    ) -> None:
-        """Queue ``event`` for ``switch_id`` at ``time_ns``.
-
-        ``key`` is the deterministic tie-break key (see the _QueuedEvent
-        comment).  Callers scheduling *generated* events pass the origin
-        switch's content-derived key; external pushes leave it None and get
-        the next network-level serial.  In shard mode, events bound for a
-        switch another worker owns are handed to the export callback instead
-        of entering the local heap.
-        """
-        if key is None:
-            self._serial += 1
-            key = self._serial
+    def _push(self, time_ns: int, switch_id: int, event: EventInstance) -> None:
+        """Queue an externally pushed ``event`` for ``switch_id`` at
+        ``time_ns``, keyed by the next network-level serial (see the
+        _QueuedEvent comment).  In shard mode, events bound for a switch
+        another worker owns are handed to the export callback instead of
+        entering the local heap."""
+        self._serial += 1
+        key = self._serial
         if self._shard_owned is not None and switch_id != CONTROL:
             if switch_id not in self._shard_owned:
                 self._shard_export(time_ns, key, switch_id, event)
@@ -434,80 +435,89 @@ class Network:
         no clock clamping is applied."""
         heapq.heappush(self._queue, (time_ns, key, switch_id, event))
 
-    def _delay_after_queue(self, delay_ns: int) -> int:
-        """Delay actually experienced when using the pausable delay queue: the
-        queue releases only at multiples of the release interval."""
-        interval = self.config.delay_release_interval_ns
-        if delay_ns <= 0 or not self.config.use_delay_queue:
-            return max(0, delay_ns)
-        periods = -(-delay_ns // interval)  # ceil division
-        return periods * interval
-
     def _schedule_generated(
         self,
         source: Switch,
         event: EventInstance,
         trace_parent: Optional[int] = None,
     ) -> None:
-        source.stats.events_generated += 1
+        """Deliver an event generated on ``source`` to each target, through
+        the recirculation port or over a link; every delivery takes the next
+        content-derived key of ``source`` (see the _QueuedEvent comment)."""
+        stats = source.stats
+        stats.events_generated += 1
         obs_on = _OBS.enabled
         if obs_on:
             _Metrics.events_generated.inc()
-        for target in event.targets(source.id):
-            if target == source.id:
+        origin = source.id
+        group = event.group
+        if group is None:
+            location = event.location
+            group = (origin if location == LOCAL else location,)
+        config = self.config
+        delay_ns = event.delay_ns
+        use_queue = config.use_delay_queue
+        if delay_ns > 0 and use_queue:
+            # the pausable delay queue releases at multiples of its interval
+            interval = config.delay_release_interval_ns
+            delay = -(-delay_ns // interval) * interval
+        else:
+            delay = max(0, delay_ns)
+        now = self.now_ns
+        remote_ns = now + config.pipeline_latency_ns + delay
+        seq = source.origin_seq
+        owned = self._shard_owned
+        queue = self._queue
+        for target in group:
+            if target == origin:
                 # local: the event packet recirculates at least once.  The
                 # engine may model a bounded recirculation/delay queue and
                 # refuse admission — a PISA queue overflow, counted like a
                 # link drop.
-                if not source.engine.admit_recirculation(event):
-                    source.stats.recirc_drops += 1
+                admit = source._admit
+                if admit is not None and not admit(event):
+                    stats.recirc_drops += 1
                     if obs_on:
                         _Metrics.recirc_drops.inc()
                     continue
-                delay = self._delay_after_queue(event.delay_ns)
-                arrival = self.now_ns + self.config.recirculation_latency_ns + delay
-                recirc_passes = 1
-                if event.delay_ns > 0 and not self.config.use_delay_queue:
+                recirc_ns = config.recirculation_latency_ns
+                arrival = now + recirc_ns + delay
+                passes = 1
+                if delay_ns > 0 and not use_queue:
                     # without the pausable queue the packet recirculates
                     # continuously until its delay expires
-                    recirc_passes += max(
-                        0, event.delay_ns // max(1, self.config.recirculation_latency_ns)
-                    )
-                source.stats.recirculations += recirc_passes
-                source.stats.recirculated_bytes += recirc_passes * event.payload_bytes()
+                    passes += delay_ns // max(1, recirc_ns)
+                nbytes = passes * event.payload_bytes()
+                stats.recirculations += passes
+                stats.recirculated_bytes += nbytes
                 if obs_on:
-                    _Metrics.recirculations.inc(recirc_passes)
-                    _Metrics.recirc_bytes.inc(recirc_passes * event.payload_bytes())
-                    if event.delay_ns > 0 and self.config.use_delay_queue:
+                    _Metrics.recirculations.inc(passes)
+                    _Metrics.recirc_bytes.inc(nbytes)
+                    if delay_ns > 0 and use_queue:
                         _Metrics.delay_parks.inc()
-                        _Metrics.event_delay_ns.observe(event.delay_ns)
-                source.engine.on_recirculate(event)
+                        _Metrics.event_delay_ns.observe(delay_ns)
+                if source._on_recirculate is not None:
+                    source._on_recirculate(event)
             else:
-                if (source.id, target) in self._down_links:
-                    source.stats.link_drops += 1
+                pair = (origin, target)
+                if pair in self._down_links:
+                    stats.link_drops += 1
                     if obs_on:
                         _Metrics.link_drops.inc()
                     continue
-                source.stats.remote_sends += 1
+                stats.remote_sends += 1
                 if obs_on:
                     _Metrics.remote_sends.inc()
-                arrival = (
-                    self.now_ns
-                    + self.config.pipeline_latency_ns
-                    + self.link_latency(source.id, target)
-                    + self._delay_after_queue(event.delay_ns)
-                )
-            delivered = EventInstance(
-                name=event.name,
-                args=event.args,
-                delay_ns=0,
-                location=LOCAL,
-                group=None,
-                source=source.id,
-                trace_parent=trace_parent,
-            )
-            source.origin_seq += 1
-            self._push(arrival, target, delivered, source._key_base | source.origin_seq)
+                # pipeline + link (as in link_latency) + queue delay
+                arrival = remote_ns + self.links.get(pair, config.link_latency_ns)
+            seq += 1
+            key = source._key_base | seq
+            delivered = EventInstance(event.name, event.args, 0, LOCAL, None, origin, trace_parent)
+            if owned is not None and target not in owned:
+                self._shard_export(arrival, key, target, delivered)
+            else:
+                heapq.heappush(queue, (arrival, key, target, delivered))
+        source.origin_seq = seq
 
     # -- execution -----------------------------------------------------------------
     def _observed_run(self, switch: Switch) -> Callable[[EventInstance], ExecutionResult]:
@@ -545,20 +555,15 @@ class Network:
         """Per-switch lookups hoisted out of the drain: the switch, runtime,
         the callable that runs one event, stats fields, log, and the
         recirc-arrival hook (None when the engine does not override the
-        no-op base method).
+        no-op base method — see :class:`Switch`).
 
         The callable is chosen here, once per switch per drain (and again
         after every CONTROL action): the engine's obs-free ``run_fast`` (or
         ``run``) while nothing observes dispatches, else
         :meth:`_observed_run`.  ``run_fast`` is looked up on the engine
         instance each time, so a wrapper installed there is honoured."""
-        engine = switch.engine
-        hook = (
-            engine.on_recirc_arrival
-            if type(engine).on_recirc_arrival is not SwitchEngine.on_recirc_arrival
-            else None
-        )
         if self.tracer is None and self.profiler is None and not _OBS.enabled:
+            engine = switch.engine
             run = getattr(engine, "run_fast", engine.run)
         else:
             run = self._observed_run(switch)
@@ -569,7 +574,7 @@ class Network:
             switch.stats,
             switch.stats.handled_by_event,
             switch.log,
-            hook,
+            switch._on_recirc_arrival,
         )
 
     def run(
@@ -619,7 +624,9 @@ class Network:
         switches = self.switches
         pop = heapq.heappop
         schedule = self._schedule_generated
-        traced = self.trace_enabled or self.on_handle is not None
+        trace_enabled = self.trace_enabled
+        on_handle = self.on_handle
+        traced = trace_enabled or on_handle is not None
         entries: Dict[int, tuple] = {}
         self._trace_parent = None
         while True:
@@ -657,7 +664,9 @@ class Network:
             if switch_id == CONTROL:
                 event(self)
                 # the action may have attached or detached observers
-                traced = self.trace_enabled or self.on_handle is not None
+                trace_enabled = self.trace_enabled
+                on_handle = self.on_handle
+                traced = trace_enabled or on_handle is not None
                 entries.clear()
                 self._trace_parent = None
                 continue
@@ -682,18 +691,17 @@ class Network:
             if result.prints:
                 log.extend(result.prints)
             if result.generated:
+                trace_parent = self._trace_parent
                 for generated in result.generated:
-                    schedule(switch, generated, self._trace_parent)
+                    schedule(switch, generated, trace_parent)
             handled += 1
             if traced:
                 self._last_pop_key = key
-                trace_entry = TraceEntry(
-                    time_ns=self.now_ns, switch_id=switch_id, event=event, result=result
-                )
-                if self.trace_enabled:
+                trace_entry = TraceEntry(self.now_ns, switch_id, event, result)
+                if trace_enabled:
                     self.trace.append(trace_entry)
-                if self.on_handle is not None:
-                    self.on_handle(trace_entry)
+                if on_handle is not None:
+                    on_handle(trace_entry)
         if pending is not None:
             # interrupted with an item in hand: give it back to sources that
             # support it (keeps source-vs-heap tie-breaking identical when the

@@ -376,6 +376,67 @@ def test_multicast_generates_reach_every_group_member():
     assert all(network.switch(sid).array("hits").get(0) == 1 for sid in range(3))
 
 
+@pytest.mark.parametrize("engine", ["reference", "pisa", "codegen"])
+def test_scheduler_branches_exact_times_order_and_counters(engine):
+    # switch 0 multicasts a delayed event to a group holding a healthy peer
+    # (2), a peer behind a failed link (1) and itself, then sends one
+    # undelayed event to peer 2 and one to itself.  The 0--2 link latency
+    # makes remote and local arrivals coincide, so equal timestamps must
+    # dispatch in origin key order (per-origin push order), not switch order.
+    source = """
+    const group ALL = {2, 1, 0};
+    event seed();
+    event mark(int x);
+    event ping(int x);
+    handle seed() {
+      mgenerate Event.delay(Event.locate(mark(7), ALL), 150us);
+      generate Event.locate(ping(1), 2);
+      generate ping(2);
+    }
+    handle mark(int x) { drop(); }
+    handle ping(int x) { drop(); }
+    """
+    config = SchedulerConfig(
+        pipeline_latency_ns=400,
+        recirculation_latency_ns=600,
+        delay_release_interval_ns=100_000,
+    )
+    network = Network(config, engine=engine)
+    checked = check_program(source)
+    for sid in range(3):
+        network.add_switch(sid, checked)
+    network.add_link(0, 1)
+    network.add_link(0, 2, latency_ns=200)
+    network.fail_link(0, 1)
+    network.inject(0, EventInstance("seed", ()), at_ns=0)
+    network.run()
+
+    # local: recirculation + quantised delay (150 us -> 200 us);
+    # remote: pipeline + link + quantised delay
+    assert [(t.time_ns, t.switch_id, t.event.name, t.event.args) for t in network.trace] == [
+        (0, 0, "seed", ()),
+        (600, 2, "ping", (1,)),
+        (600, 0, "ping", (2,)),
+        (200_600, 2, "mark", (7,)),
+        (200_600, 0, "mark", (7,)),
+    ]
+    for entry in network.trace[1:]:
+        assert entry.event.source == 0
+        assert entry.event.delay_ns == 0 and entry.event.group is None
+    origin = network.switch(0).stats
+    assert origin.events_generated == 3
+    assert origin.remote_sends == 2
+    assert origin.recirculations == 2
+    assert origin.recirculated_bytes == 2 * 64  # minimum frame per pass
+    assert origin.link_drops == 1
+    assert origin.recirc_drops == 0
+    assert origin.events_handled == 3
+    assert network.switch(0).origin_seq == 4  # dropped sends take no key
+    assert network.switch(1).stats.events_handled == 0
+    assert network.switch(2).stats.events_handled == 2
+    assert network.now_ns == 200_600
+
+
 def test_run_until_time_bound_stops_early():
     source = "event tick(int n); handle tick(int n) { generate Event.delay(tick(n + 1), 1ms); }"
     network, switch = single_switch_network(check_program(source))
